@@ -1,28 +1,33 @@
-//! Pipeline checkpoint records: encoding/decoding of the `meta`,
-//! `epoch`, `first_stage` and `master` record bodies that
+//! Typed checkpoint records: the [`PlanRecord`]s that
 //! [`crate::NeuroPlan`] appends to `<checkpoint-dir>/checkpoint.jsonl`
-//! (format: DESIGN.md §10; substrate: [`np_chaos::checkpoint`]).
+//! and the [`ReplanRecord`]s of `<checkpoint-dir>/replan.jsonl`
+//! (format: DESIGN.md §10 and §14; substrate: [`np_chaos::checkpoint`]).
 //!
-//! Every `f64` that must survive bit-exactly (costs, returns, cut
-//! coefficients) travels as little-endian hex; small counters travel as
-//! plain JSON numbers. Decoders return `None` on any shape mismatch —
-//! the pipeline then ignores the checkpoint and starts fresh rather than
-//! resuming from a record it cannot fully trust.
+//! Every record is a derived type: the enum variant names the record,
+//! every `f64` that must survive bit-exactly (costs, returns, cut
+//! coefficients) is a [`HexF64`], small counters are plain JSON numbers.
+//! A line that does not decode as its file's record enum ends the valid
+//! prefix like a torn tail. A record that decodes but does not fit the
+//! instance (a plan without one entry per link, a certificate naming a
+//! link that does not exist) is never used: the pipeline then ignores
+//! the checkpoint and starts fresh rather than resuming from a record it
+//! cannot fully trust.
 
 use crate::config::NeuroPlanConfig;
+use crate::env::EnvState;
 use crate::master::MasterOutcome;
 use crate::pipeline::FirstStage;
-use np_chaos::checkpoint::{f64_to_hex, fnv1a64, hex_to_f64};
-use np_flow::MetricCut;
+use np_chaos::checkpoint::{fnv1a64, HexF64};
+use np_eval::{CertRecord, EvalState};
 use np_lp::MipStatus;
-use np_rl::{EpochStats, TrainProgress, TrainReport};
+use np_rl::{AgentState, EpochStats, TrainProgress, TrainReport};
 use np_supervisor::PlanQuality;
-use np_topology::{LinkId, Network};
-use serde_json::Value;
+use np_topology::Network;
+use serde::{Deserialize, Serialize};
 
 /// Stable fingerprint of (instance, run-shaping config). A resume under
 /// a different topology, seed or budget must not splice runs together,
-/// so the `meta` record carries this and mismatches discard the file.
+/// so the `Meta` record carries this and mismatches discard the file.
 pub fn fingerprint(net: &Network, cfg: &NeuroPlanConfig) -> String {
     // Supervisor knobs shape which rung of the ladder produced the
     // recorded result, so they are part of the fingerprint: a resume
@@ -56,14 +61,193 @@ pub fn fingerprint(net: &Network, cfg: &NeuroPlanConfig) -> String {
     )
 }
 
-/// Body of the `meta` record.
-pub fn meta_body(fp: &str) -> Value {
-    Value::Object(vec![("fp".to_string(), Value::Str(fp.to_string()))])
+/// One line of `checkpoint.jsonl`: a `Meta` record carrying the
+/// [`fingerprint`], one `Epoch` record per completed training epoch, then
+/// a `FirstStage` and a `Master` record.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum PlanRecord {
+    /// The run's [`fingerprint`]; always the first record.
+    Meta(String),
+    /// Trainer state after one epoch.
+    Epoch(EpochRecord),
+    /// The finished RL stage.
+    FirstStage(FirstStageRecord),
+    /// The finished second stage.
+    Master(MasterRecord),
 }
 
-/// Whether `body` is a `meta` record matching `fp`.
-pub fn meta_matches(body: &Value, fp: &str) -> bool {
-    body.get("fp").and_then(Value::as_str) == Some(fp)
+impl PlanRecord {
+    /// Whether the record fits an instance of `links` links: every plan
+    /// has one entry per link and every certificate names an existing
+    /// link. Epoch records are checked when they are restored.
+    pub(crate) fn fits(&self, links: usize) -> bool {
+        match self {
+            PlanRecord::FirstStage(f) => {
+                f.units.len() == links && f.certs.iter().all(|c| c.fits(links))
+            }
+            PlanRecord::Master(m) => m.units.len() == links,
+            PlanRecord::Meta(_) | PlanRecord::Epoch(_) => true,
+        }
+    }
+}
+
+/// The epoch records of a checkpoint, in file order, and its first
+/// `FirstStage` and `Master` records.
+pub(crate) fn split_records(
+    records: Vec<PlanRecord>,
+) -> (
+    Vec<EpochRecord>,
+    Option<FirstStageRecord>,
+    Option<MasterRecord>,
+) {
+    let (mut epochs, mut first, mut master) = (Vec::new(), None, None);
+    for r in records {
+        match r {
+            PlanRecord::Meta(_) => {}
+            PlanRecord::Epoch(e) => epochs.push(e),
+            PlanRecord::FirstStage(f) => first = first.or(Some(f)),
+            PlanRecord::Master(m) => master = master.or(Some(m)),
+        }
+    }
+    (epochs, first, master)
+}
+
+/// The loop counters a resume needs plus the agent and environment.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct EpochRecord {
+    pub epoch: usize,
+    pub mean_return: HexF64,
+    pub completed: usize,
+    pub truncated: usize,
+    pub mean_length: HexF64,
+    /// Epoch index the resumed run continues from.
+    pub next_epoch: usize,
+    /// Convergence streak after this epoch.
+    pub converged_run: usize,
+    /// Mean return the next convergence check compares against.
+    pub prev_return: HexF64,
+    /// NaN rollbacks so far (feeds the recovery stream seed).
+    pub recovery_nonce: u64,
+    /// The agent after this epoch.
+    pub agent: AgentState,
+    /// The environment after this epoch.
+    pub env: EnvState,
+}
+
+impl EpochRecord {
+    /// The record of the epoch `p` reports.
+    pub(crate) fn new(p: &TrainProgress<'_>, agent: AgentState, env: EnvState) -> Self {
+        EpochRecord {
+            epoch: p.stats.epoch,
+            mean_return: HexF64(p.stats.mean_return),
+            completed: p.stats.completed,
+            truncated: p.stats.truncated,
+            mean_length: HexF64(p.stats.mean_length),
+            next_epoch: p.next_epoch,
+            converged_run: p.converged_run,
+            prev_return: HexF64(p.prev_return),
+            recovery_nonce: p.recovery_nonce,
+            agent,
+            env,
+        }
+    }
+
+    /// This epoch's statistics.
+    pub(crate) fn stats(&self) -> EpochStats {
+        EpochStats {
+            epoch: self.epoch,
+            mean_return: self.mean_return.0,
+            completed: self.completed,
+            truncated: self.truncated,
+            mean_length: self.mean_length.0,
+        }
+    }
+}
+
+/// The first stage's plan and certificates. The per-epoch stats are
+/// reassembled from the epoch records; the evaluator stats of the
+/// original run are not kept.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct FirstStageRecord {
+    pub units: Vec<u32>,
+    pub cost: HexF64,
+    pub rl_cost: Option<HexF64>,
+    pub reference_cost: HexF64,
+    pub certs: Vec<CertRecord>,
+}
+
+impl From<&FirstStage> for FirstStageRecord {
+    fn from(first: &FirstStage) -> Self {
+        FirstStageRecord {
+            units: first.units.clone(),
+            cost: HexF64(first.cost),
+            rl_cost: first.rl_cost.map(HexF64),
+            reference_cost: HexF64(first.reference_cost),
+            certs: first.certificates.iter().map(CertRecord::from).collect(),
+        }
+    }
+}
+
+impl FirstStageRecord {
+    /// The recorded first stage, with `report` as its training report.
+    pub(crate) fn restore(&self, report: TrainReport) -> FirstStage {
+        FirstStage {
+            units: self.units.clone(),
+            cost: self.cost.0,
+            rl_cost: self.rl_cost.map(|c| c.0),
+            reference_cost: self.reference_cost.0,
+            report,
+            certificates: self.certs.iter().map(Into::into).collect(),
+            stats: np_eval::EvalStats::default(),
+        }
+    }
+}
+
+/// The master's outcome and the ladder rung the supervised second stage
+/// settled on — a finished-run resume must report the same
+/// [`PlanQuality`] the original run did, so it is recorded rather than
+/// re-derived.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct MasterRecord {
+    pub status: MipStatus,
+    pub cost: HexF64,
+    pub units: Vec<u32>,
+    pub nodes: usize,
+    pub cuts_added: usize,
+    pub best_bound: HexF64,
+    pub overshoot_us: u64,
+    /// The rung the second stage settled on.
+    pub quality: PlanQuality,
+}
+
+impl MasterRecord {
+    /// The record of `m`, settled at `quality`.
+    pub(crate) fn new(m: &MasterOutcome, quality: PlanQuality) -> Self {
+        MasterRecord {
+            status: m.status,
+            cost: HexF64(m.cost),
+            units: m.units.clone(),
+            nodes: m.nodes,
+            cuts_added: m.cuts_added,
+            best_bound: HexF64(m.best_bound),
+            overshoot_us: m.deadline_overshoot_us,
+            quality,
+        }
+    }
+
+    /// The recorded outcome and quality.
+    pub(crate) fn restore(&self) -> (MasterOutcome, PlanQuality) {
+        let outcome = MasterOutcome {
+            status: self.status,
+            cost: self.cost.0,
+            units: self.units.clone(),
+            nodes: self.nodes,
+            cuts_added: self.cuts_added,
+            best_bound: self.best_bound.0,
+            deadline_overshoot_us: self.overshoot_us,
+        };
+        (outcome, self.quality)
+    }
 }
 
 /// How a checkpoint relates to the instance a resume was asked for.
@@ -72,8 +256,8 @@ pub fn meta_matches(body: &Value, fp: &str) -> bool {
 /// (`Exact`). Re-planning relaxes that to *resumable ancestry*: a
 /// checkpoint taken against topology `T` is still usable on a perturbed
 /// `T′` when the chain of per-event records connects them — each record
-/// carries the fingerprint of the state it was taken from (`afp`) and
-/// the state it produced (`fp`), so the resume can locate the current
+/// carries the fingerprint of the state it was taken from
+/// (`ancestor_fp`) and the state it produced (`fp`), so the resume can locate the current
 /// instance in the chain and replay only what follows. Unchanged runs
 /// still match `Exact` and keep bit-identical kill-and-resume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,57 +288,54 @@ pub fn replan_stream_tag(events: &[String], initial_units: &[u32], knob_bits: &[
     format!("{:016x}", fnv1a64(blob.as_bytes()))
 }
 
-/// Body of the `replan_meta` record: the fingerprint of the pre-stream
-/// instance, the stream tag, and the starting plan's cost (`cost0` —
-/// an ancestor resume has no way to recompute it, since the caller no
-/// longer holds the pre-stream instance).
-pub fn replan_meta_body(fp: &str, stream: &str, cost0: f64) -> Value {
-    Value::Object(vec![
-        ("fp".to_string(), Value::Str(fp.to_string())),
-        ("stream".to_string(), Value::Str(stream.to_string())),
-        ("cost0".to_string(), Value::Str(f64_to_hex(cost0))),
-    ])
+/// One line of `replan.jsonl`: a `Meta` record, then one `Event` record
+/// per re-planned event.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum ReplanRecord {
+    /// Where the stream started; always the first record.
+    Meta(ReplanMeta),
+    /// One re-planned event.
+    Event(ReplanEventRecord),
 }
 
-/// The starting plan's cost recorded in a `replan_meta` body.
-pub fn replan_meta_cost0(body: &Value) -> Option<f64> {
-    hex_field(body, "cost0")
+/// The fingerprint of the pre-stream instance, the stream tag, and the
+/// starting plan's cost (`cost0` — an ancestor resume has no way to
+/// recompute it, since the caller no longer holds the pre-stream
+/// instance).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct ReplanMeta {
+    /// [`fingerprint`] of the instance the stream started from.
+    pub fp: String,
+    /// [`replan_stream_tag`] of the stream.
+    pub stream: String,
+    /// Cost of the starting plan.
+    pub cost0: HexF64,
 }
 
-/// Whether `body` is a `replan_meta` record for this instance + stream.
-pub fn replan_meta_matches(body: &Value, fp: &str, stream: &str) -> bool {
-    body.get("fp").and_then(Value::as_str) == Some(fp)
-        && body.get("stream").and_then(Value::as_str) == Some(stream)
-}
-
-/// Classify a resume request against a replan checkpoint: `fp_now` is
-/// the fingerprint of the instance the caller holds, `meta` the decoded
-/// `replan_meta` body, `event_fps` the post-event fingerprints of the
-/// decoded event records in order.
-pub fn classify_replan_meta(
-    meta: &Value,
-    stream: &str,
-    fp_now: &str,
-    event_fps: &[String],
-) -> MetaMatch {
-    if meta.get("stream").and_then(Value::as_str) != Some(stream) {
-        return MetaMatch::Mismatch;
-    }
-    if meta.get("fp").and_then(Value::as_str) == Some(fp_now) {
-        return MetaMatch::Exact;
-    }
-    match event_fps.iter().rposition(|fp| fp == fp_now) {
-        Some(i) => MetaMatch::Ancestor(i),
-        None => MetaMatch::Mismatch,
+impl ReplanMeta {
+    /// Classify a resume request against this meta record: `fp_now` is
+    /// the fingerprint of the instance the caller holds, `event_fps` the
+    /// post-event fingerprints of the decoded event records in order.
+    pub(crate) fn classify(&self, stream: &str, fp_now: &str, event_fps: &[String]) -> MetaMatch {
+        if self.stream != stream {
+            return MetaMatch::Mismatch;
+        }
+        if self.fp == fp_now {
+            return MetaMatch::Exact;
+        }
+        match event_fps.iter().rposition(|fp| fp == fp_now) {
+            Some(i) => MetaMatch::Ancestor(i),
+            None => MetaMatch::Mismatch,
+        }
     }
 }
 
-/// One decoded `replan_event` record: everything the re-planning loop
-/// needs to resume *after* this event without recomputing it — the plan
-/// it settled on, the evaluator state (certificates included, so no
-/// still-valid cut is re-derived), and the fingerprint chain that proves
-/// the record belongs to this instance's history.
-#[derive(Clone, Debug, PartialEq)]
+/// Everything the re-planning loop needs to resume *after* one event
+/// without recomputing it — the plan it settled on, the evaluator state
+/// (certificates included, so no still-valid cut is re-derived), and
+/// the fingerprint chain that proves the record belongs to this
+/// instance's history.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ReplanEventRecord {
     /// 0-based position in the event stream.
     pub index: usize,
@@ -167,12 +348,12 @@ pub struct ReplanEventRecord {
     /// Fingerprint of the instance *after* this event.
     pub fp: String,
     /// Plan cost after re-planning this event.
-    pub cost: f64,
+    pub cost: HexF64,
     /// Plan units after re-planning this event.
     pub units: Vec<u32>,
-    /// [`np_eval::PlanEvaluator::snapshot_state`] blob taken after the
-    /// event's solve (carries every retained certificate).
-    pub eval: String,
+    /// Evaluator state after the event's solve (carries every retained
+    /// certificate).
+    pub eval: EvalState,
     /// Ladder rung the event's solve settled on.
     pub quality: PlanQuality,
     /// `Some(reason)` when the event could not be applied and was skipped
@@ -188,298 +369,228 @@ pub struct ReplanEventRecord {
     pub flapped: bool,
 }
 
-/// Body of a `replan_event` record.
-pub fn replan_event_body(r: &ReplanEventRecord) -> Value {
-    Value::Object(vec![
-        ("k".to_string(), num(r.index as u64)),
-        ("class".to_string(), Value::Str(r.class.clone())),
-        ("event".to_string(), Value::Str(r.event.clone())),
-        ("afp".to_string(), Value::Str(r.ancestor_fp.clone())),
-        ("fp".to_string(), Value::Str(r.fp.clone())),
-        ("cost".to_string(), Value::Str(f64_to_hex(r.cost))),
-        ("units".to_string(), units_value(&r.units)),
-        ("eval".to_string(), Value::Str(r.eval.clone())),
-        (
-            "quality".to_string(),
-            Value::Str(r.quality.name().to_string()),
-        ),
-        (
-            "skipped".to_string(),
-            match &r.skipped {
-                Some(reason) => Value::Str(reason.clone()),
-                None => Value::Null,
-            },
-        ),
-        ("churn".to_string(), num(r.churn)),
-        ("retained".to_string(), num(r.retained)),
-        ("dropped".to_string(), num(r.dropped)),
-        ("flapped".to_string(), num(u64::from(r.flapped))),
-    ])
-}
-
-/// Decode a `replan_event` record body.
-pub fn decode_replan_event(body: &Value) -> Option<ReplanEventRecord> {
-    let skipped = match body.get("skipped")? {
-        Value::Null => None,
-        v => Some(v.as_str()?.to_string()),
-    };
-    Some(ReplanEventRecord {
-        index: u64_field(body, "k")? as usize,
-        class: str_field(body, "class")?,
-        event: str_field(body, "event")?,
-        ancestor_fp: str_field(body, "afp")?,
-        fp: str_field(body, "fp")?,
-        cost: hex_field(body, "cost")?,
-        units: units_field(body, "units")?,
-        eval: str_field(body, "eval")?,
-        quality: PlanQuality::from_name(&str_field(body, "quality")?)?,
-        skipped,
-        churn: u64_field(body, "churn")?,
-        retained: u64_field(body, "retained")?,
-        dropped: u64_field(body, "dropped")?,
-        flapped: u64_field(body, "flapped")? != 0,
-    })
-}
-
-fn num(n: u64) -> Value {
-    Value::Num(n as f64)
-}
-
-fn str_field(body: &Value, key: &str) -> Option<String> {
-    Some(body.get(key)?.as_str()?.to_string())
-}
-
-fn u64_field(body: &Value, key: &str) -> Option<u64> {
-    body.get(key)?.as_u64()
-}
-
-fn hex_field(body: &Value, key: &str) -> Option<f64> {
-    hex_to_f64(body.get(key)?.as_str()?)
-}
-
-fn units_value(units: &[u32]) -> Value {
-    Value::Array(units.iter().map(|&u| num(u64::from(u))).collect())
-}
-
-fn units_field(body: &Value, key: &str) -> Option<Vec<u32>> {
-    body.get(key)?
-        .as_array()?
-        .iter()
-        .map(|v| v.as_u64().and_then(|u| u32::try_from(u).ok()))
-        .collect()
-}
-
-/// One decoded `epoch` record: the loop counters a resume needs plus the
-/// serialized agent and environment.
-#[derive(Clone, Debug)]
-pub struct EpochRecord {
-    /// This epoch's statistics.
-    pub stats: EpochStats,
-    /// Epoch index the resumed run continues from.
-    pub next_epoch: usize,
-    /// Convergence streak after this epoch.
-    pub converged_run: usize,
-    /// Mean return the next convergence check compares against.
-    pub prev_return: f64,
-    /// NaN rollbacks so far (feeds the recovery stream seed).
-    pub recovery_nonce: u64,
-    /// [`np_rl::ActorCritic::export_state`] blob.
-    pub agent: String,
-    /// [`np_rl::GraphEnv::state_json`] blob.
-    pub env: String,
-}
-
-/// Body of an `epoch` record.
-pub fn epoch_body(p: &TrainProgress<'_>, agent_blob: &str, env_blob: &str) -> Value {
-    Value::Object(vec![
-        ("epoch".to_string(), num(p.stats.epoch as u64)),
-        (
-            "mean_return".to_string(),
-            Value::Str(f64_to_hex(p.stats.mean_return)),
-        ),
-        ("completed".to_string(), num(p.stats.completed as u64)),
-        ("truncated".to_string(), num(p.stats.truncated as u64)),
-        (
-            "mean_length".to_string(),
-            Value::Str(f64_to_hex(p.stats.mean_length)),
-        ),
-        ("next_epoch".to_string(), num(p.next_epoch as u64)),
-        ("converged_run".to_string(), num(p.converged_run as u64)),
-        (
-            "prev_return".to_string(),
-            Value::Str(f64_to_hex(p.prev_return)),
-        ),
-        ("recovery_nonce".to_string(), num(p.recovery_nonce)),
-        ("agent".to_string(), Value::Str(agent_blob.to_string())),
-        ("env".to_string(), Value::Str(env_blob.to_string())),
-    ])
-}
-
-/// Decode an `epoch` record body.
-pub fn decode_epoch(body: &Value) -> Option<EpochRecord> {
-    Some(EpochRecord {
-        stats: EpochStats {
-            epoch: u64_field(body, "epoch")? as usize,
-            mean_return: hex_field(body, "mean_return")?,
-            completed: u64_field(body, "completed")? as usize,
-            truncated: u64_field(body, "truncated")? as usize,
-            mean_length: hex_field(body, "mean_length")?,
-        },
-        next_epoch: u64_field(body, "next_epoch")? as usize,
-        converged_run: u64_field(body, "converged_run")? as usize,
-        prev_return: hex_field(body, "prev_return")?,
-        recovery_nonce: u64_field(body, "recovery_nonce")?,
-        agent: str_field(body, "agent")?,
-        env: str_field(body, "env")?,
-    })
-}
-
-fn encode_cert(c: &MetricCut) -> Value {
-    let mut s = f64_to_hex(c.rhs);
-    for (l, w) in &c.coeff {
-        s.push_str(&format!(";{},{}", l.index(), f64_to_hex(*w)));
-    }
-    Value::Str(s)
-}
-
-fn decode_cert(s: &str) -> Option<MetricCut> {
-    let mut fields = s.split(';');
-    let rhs = fields.next().and_then(hex_to_f64)?;
-    let mut coeff = Vec::new();
-    for f in fields {
-        let (i, w) = f.split_once(',')?;
-        coeff.push((LinkId::new(i.parse().ok()?), hex_to_f64(w)?));
-    }
-    Some(MetricCut { coeff, rhs })
-}
-
-/// Body of the `first_stage` record.
-pub fn first_stage_body(first: &FirstStage) -> Value {
-    Value::Object(vec![
-        ("cost".to_string(), Value::Str(f64_to_hex(first.cost))),
-        ("units".to_string(), units_value(&first.units)),
-        (
-            "rl_cost".to_string(),
-            match first.rl_cost {
-                Some(c) => Value::Str(f64_to_hex(c)),
-                None => Value::Null,
-            },
-        ),
-        (
-            "reference_cost".to_string(),
-            Value::Str(f64_to_hex(first.reference_cost)),
-        ),
-        (
-            "certs".to_string(),
-            Value::Array(first.certificates.iter().map(encode_cert).collect()),
-        ),
-    ])
-}
-
-/// Decode a `first_stage` record body. `report` supplies the per-epoch
-/// stats (reassembled from the `epoch` records); the evaluator stats of
-/// the original run are not reconstructed.
-pub fn decode_first_stage(body: &Value, report: TrainReport) -> Option<FirstStage> {
-    let rl_cost = match body.get("rl_cost")? {
-        Value::Null => None,
-        v => Some(hex_to_f64(v.as_str()?)?),
-    };
-    let certificates: Option<Vec<MetricCut>> = body
-        .get("certs")?
-        .as_array()?
-        .iter()
-        .map(|v| decode_cert(v.as_str()?))
-        .collect();
-    Some(FirstStage {
-        units: units_field(body, "units")?,
-        cost: hex_field(body, "cost")?,
-        rl_cost,
-        reference_cost: hex_field(body, "reference_cost")?,
-        report,
-        certificates: certificates?,
-        stats: np_eval::EvalStats::default(),
-    })
-}
-
-fn status_name(s: MipStatus) -> &'static str {
-    match s {
-        MipStatus::Optimal => "optimal",
-        MipStatus::Feasible => "feasible",
-        MipStatus::Infeasible => "infeasible",
-        MipStatus::Limit => "limit",
-        MipStatus::TimeLimit => "time-limit",
-        MipStatus::Unbounded => "unbounded",
-    }
-}
-
-fn status_from(name: &str) -> Option<MipStatus> {
-    Some(match name {
-        "optimal" => MipStatus::Optimal,
-        "feasible" => MipStatus::Feasible,
-        "infeasible" => MipStatus::Infeasible,
-        "limit" => MipStatus::Limit,
-        "time-limit" => MipStatus::TimeLimit,
-        "unbounded" => MipStatus::Unbounded,
-        _ => return None,
-    })
-}
-
-/// Body of the `master` record. `quality` is the ladder rung the
-/// supervised second stage settled on — a finished-run resume must
-/// report the same [`PlanQuality`] the original run did, so it is part
-/// of the record rather than re-derived.
-pub fn master_body(m: &MasterOutcome, quality: PlanQuality) -> Value {
-    Value::Object(vec![
-        (
-            "status".to_string(),
-            Value::Str(status_name(m.status).to_string()),
-        ),
-        ("cost".to_string(), Value::Str(f64_to_hex(m.cost))),
-        ("units".to_string(), units_value(&m.units)),
-        ("nodes".to_string(), num(m.nodes as u64)),
-        ("cuts_added".to_string(), num(m.cuts_added as u64)),
-        (
-            "best_bound".to_string(),
-            Value::Str(f64_to_hex(m.best_bound)),
-        ),
-        ("overshoot_us".to_string(), num(m.deadline_overshoot_us)),
-        (
-            "quality".to_string(),
-            Value::Str(quality.name().to_string()),
-        ),
-        ("rung".to_string(), num(u64::from(quality.rung()))),
-    ])
-}
-
-/// Decode a `master` record body. Records written before the anytime
-/// supervisor carry no quality field; those infer it from the status
-/// (proven optimal → `Optimal`, anything with a plan → `Incumbent`).
-pub fn decode_master(body: &Value) -> Option<(MasterOutcome, PlanQuality)> {
-    let outcome = MasterOutcome {
-        status: status_from(body.get("status")?.as_str()?)?,
-        cost: hex_field(body, "cost")?,
-        units: units_field(body, "units")?,
-        nodes: u64_field(body, "nodes")? as usize,
-        cuts_added: u64_field(body, "cuts_added")? as usize,
-        best_bound: hex_field(body, "best_bound")?,
-        deadline_overshoot_us: u64_field(body, "overshoot_us").unwrap_or(0),
-    };
-    let quality = body
-        .get("quality")
-        .and_then(Value::as_str)
-        .and_then(PlanQuality::from_name)
-        .unwrap_or(if outcome.status == MipStatus::Optimal {
-            PlanQuality::Optimal
-        } else {
-            PlanQuality::Incumbent
-        });
-    Some((outcome, quality))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use np_chaos::checkpoint::{append_record, fnv1a64, read_records, HexF64s, HexU64};
+    use np_chaos::Chaos;
     use np_topology::{generator::GeneratorConfig, TopologyPreset};
+    use serde_json::Value;
+
+    /// `-0.0`, a subnormal, `±inf` and a NaN with payload bits.
+    const SPECIAL: [f64; 5] = [
+        -0.0,
+        f64::MIN_POSITIVE / 2.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(0xfff8_0000_0000_0123),
+    ];
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("np-core-ckpt-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Write `records` through the substrate, read them back, and require
+    /// the same serialization — hex makes that a bitwise comparison.
+    fn assert_round_trip<T: Serialize + Deserialize>(name: &str, records: &[T]) {
+        let path = tmp(name);
+        for r in records {
+            append_record(&path, r, &Chaos::disabled()).unwrap();
+        }
+        let back: Vec<T> = read_records(&path);
+        assert_eq!(serde_json::to_value(&back), serde_json::to_value(records));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn eval_state() -> EvalState {
+        EvalState {
+            cursor: 2,
+            certs: vec![
+                None,
+                Some(CertRecord {
+                    rhs: HexF64(SPECIAL[1]),
+                    coeff: vec![(0, HexF64(SPECIAL[0])), (2, HexF64(SPECIAL[4]))],
+                }),
+            ],
+        }
+    }
+
+    fn plan_records() -> Vec<PlanRecord> {
+        let [neg_zero, subnormal, inf, neg_inf, nan] = SPECIAL;
+        vec![
+            PlanRecord::Meta("00112233aabbccdd".to_string()),
+            PlanRecord::Epoch(EpochRecord {
+                epoch: 3,
+                mean_return: HexF64(neg_zero),
+                completed: 7,
+                truncated: 1,
+                mean_length: HexF64(subnormal),
+                next_epoch: 4,
+                converged_run: 2,
+                prev_return: HexF64(nan),
+                recovery_nonce: 1,
+                agent: AgentState {
+                    actor_steps: 12,
+                    critic_steps: 13,
+                    rng: [
+                        HexU64(0),
+                        HexU64(1),
+                        HexU64(u64::MAX),
+                        HexU64(0x0123_4567_89ab_cdef),
+                    ],
+                    explore_temp: HexF64(1.5),
+                    params: HexF64s(SPECIAL.to_vec()),
+                },
+                env: EnvState {
+                    steps: 99,
+                    best: Some((HexF64(inf), vec![1, 0, 3])),
+                    eval: eval_state(),
+                },
+            }),
+            PlanRecord::FirstStage(FirstStageRecord {
+                units: vec![1, 0, 3],
+                cost: HexF64(123.456),
+                rl_cost: None,
+                reference_cost: HexF64(neg_inf),
+                certs: eval_state().certs.into_iter().flatten().collect(),
+            }),
+            PlanRecord::FirstStage(FirstStageRecord {
+                units: vec![4, 5, 6],
+                cost: HexF64(nan),
+                rl_cost: Some(HexF64(neg_zero)),
+                reference_cost: HexF64(subnormal),
+                certs: vec![],
+            }),
+            PlanRecord::Master(MasterRecord {
+                status: MipStatus::TimeLimit,
+                cost: HexF64(neg_zero),
+                units: vec![2, 2, 0],
+                nodes: 17,
+                cuts_added: 4,
+                best_bound: HexF64(neg_inf),
+                overshoot_us: 123,
+                quality: PlanQuality::Incumbent,
+            }),
+        ]
+    }
+
+    fn replan_records() -> Vec<ReplanRecord> {
+        let event = ReplanEventRecord {
+            index: 4,
+            class: "link-remove".to_string(),
+            event: "link-remove:2".to_string(),
+            ancestor_fp: "00112233aabbccdd".to_string(),
+            fp: "ffeeddcc44556677".to_string(),
+            cost: HexF64(SPECIAL[4]),
+            units: vec![0, 3, 7],
+            eval: eval_state(),
+            quality: PlanQuality::Rounded,
+            skipped: None,
+            churn: 9,
+            retained: 5,
+            dropped: 2,
+            flapped: true,
+        };
+        vec![
+            ReplanRecord::Meta(ReplanMeta {
+                fp: "aaaa000000000000".to_string(),
+                stream: "bbbb000000000000".to_string(),
+                cost0: HexF64(SPECIAL[0]),
+            }),
+            ReplanRecord::Event(event.clone()),
+            ReplanRecord::Event(ReplanEventRecord {
+                skipped: Some("structurally infeasible".to_string()),
+                flapped: false,
+                cost: HexF64(SPECIAL[2]),
+                ..event
+            }),
+        ]
+    }
+
+    #[test]
+    fn plan_records_round_trip_bit_exactly() {
+        let records = plan_records();
+        assert_round_trip("plan", &records);
+        let PlanRecord::Epoch(e) = &records[1] else {
+            unreachable!()
+        };
+        assert_eq!(e.stats().mean_return.to_bits(), (-0.0f64).to_bits());
+        let PlanRecord::Master(m) = &records[4] else {
+            unreachable!()
+        };
+        let (outcome, quality) = m.restore();
+        assert_eq!(
+            serde_json::to_value(&MasterRecord::new(&outcome, quality)),
+            serde_json::to_value(m)
+        );
+    }
+
+    #[test]
+    fn replan_records_round_trip_bit_exactly() {
+        assert_round_trip("replan", &replan_records());
+    }
+
+    #[test]
+    fn old_versions_and_noncanonical_hex_decode_to_nothing() {
+        // A v1 line with a valid checksum.
+        let path = tmp("v1");
+        let payload = r#"{"v":1,"kind":"meta","body":{"fp":"00112233aabbccdd"}}"#;
+        let line = format!(
+            "{{\"sum\":\"{:016x}\",\"rec\":{payload}}}\n",
+            fnv1a64(payload.as_bytes())
+        );
+        std::fs::write(&path, line).unwrap();
+        assert!(read_records::<PlanRecord>(&path).is_empty());
+        let _ = std::fs::remove_file(&path);
+
+        // A master record whose bound hex is made non-canonical, written
+        // with a valid checksum after one good record.
+        let good = plan_records();
+        let master = serde_json::to_value(&good[4]);
+        let hex = master["Master"]["best_bound"].as_str().unwrap().to_string();
+        assert_ne!(hex, hex.to_uppercase(), "the hex has letters to change");
+        for bad in [
+            hex.to_uppercase(),
+            format!("+{}", &hex[1..]),
+            hex[1..].to_string(),
+        ] {
+            let mut tampered = master.clone();
+            let Value::Object(outer) = &mut tampered else {
+                unreachable!()
+            };
+            let Value::Object(fields) = &mut outer[0].1 else {
+                unreachable!()
+            };
+            fields
+                .iter_mut()
+                .find(|(k, _)| k == "best_bound")
+                .unwrap()
+                .1 = Value::Str(bad.clone());
+            let path = tmp("hex");
+            append_record(&path, &good[0], &Chaos::disabled()).unwrap();
+            append_record(&path, &tampered, &Chaos::disabled()).unwrap();
+            let back: Vec<PlanRecord> = read_records(&path);
+            assert_eq!(back.len(), 1, "{bad}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn records_that_do_not_fit_the_instance_are_flagged() {
+        let records = plan_records();
+        assert!(records.iter().all(|r| r.fits(3)));
+        assert!(!records[4].fits(18), "master units of the wrong length");
+        let PlanRecord::FirstStage(mut first) = records[2].clone() else {
+            unreachable!()
+        };
+        first.certs[0].coeff[0].0 = 99_999;
+        assert!(
+            !PlanRecord::FirstStage(first).fits(3),
+            "certificate link out of range"
+        );
+    }
 
     #[test]
     fn fingerprint_separates_instances_and_configs() {
@@ -494,88 +605,6 @@ mod tests {
             fingerprint(&a, &cfg.clone().with_seed(9)),
             "seed changes it"
         );
-        assert!(meta_matches(&meta_body(&fa), &fa));
-        assert!(!meta_matches(&meta_body(&fa), "0000000000000000"));
-    }
-
-    #[test]
-    fn epoch_record_round_trips() {
-        let stats = EpochStats {
-            epoch: 3,
-            mean_return: -0.125,
-            completed: 7,
-            truncated: 1,
-            mean_length: 42.5,
-        };
-        let p = TrainProgress {
-            stats: &stats,
-            next_epoch: 4,
-            converged_run: 2,
-            prev_return: -0.25,
-            recovery_nonce: 1,
-        };
-        let body = epoch_body(&p, "AGENT", "ENV|with|pipes");
-        let rec = decode_epoch(&body).expect("round trip");
-        assert_eq!(rec.stats.epoch, 3);
-        assert_eq!(rec.stats.mean_return.to_bits(), (-0.125f64).to_bits());
-        assert_eq!(rec.next_epoch, 4);
-        assert_eq!(rec.converged_run, 2);
-        assert_eq!(rec.recovery_nonce, 1);
-        assert_eq!(rec.agent, "AGENT");
-        assert_eq!(rec.env, "ENV|with|pipes");
-        assert!(decode_epoch(&Value::Null).is_none());
-    }
-
-    #[test]
-    fn first_stage_record_round_trips_with_certificates() {
-        let first = FirstStage {
-            units: vec![1, 0, 3],
-            cost: 123.456,
-            rl_cost: None,
-            reference_cost: 200.0,
-            report: TrainReport::default(),
-            certificates: vec![MetricCut {
-                coeff: vec![(LinkId::new(0), 1.5), (LinkId::new(2), -0.5)],
-                rhs: 10.0,
-            }],
-            stats: np_eval::EvalStats::default(),
-        };
-        let body = first_stage_body(&first);
-        let back = decode_first_stage(&body, TrainReport::default()).expect("round trip");
-        assert_eq!(back.units, first.units);
-        assert_eq!(back.cost.to_bits(), first.cost.to_bits());
-        assert_eq!(back.rl_cost, None);
-        assert_eq!(back.certificates, first.certificates);
-    }
-
-    #[test]
-    fn replan_event_record_round_trips() {
-        let rec = ReplanEventRecord {
-            index: 4,
-            class: "link-remove".to_string(),
-            event: "link-remove:2".to_string(),
-            ancestor_fp: "00112233aabbccdd".to_string(),
-            fp: "ffeeddcc44556677".to_string(),
-            cost: 1234.5,
-            units: vec![0, 3, 7],
-            eval: "1|0|2|-|deadbeef;0,3ff0000000000000".to_string(),
-            quality: PlanQuality::Incumbent,
-            skipped: None,
-            churn: 9,
-            retained: 5,
-            dropped: 2,
-            flapped: true,
-        };
-        let back = decode_replan_event(&replan_event_body(&rec)).expect("round trip");
-        assert_eq!(back, rec);
-        let skipped = ReplanEventRecord {
-            skipped: Some("structurally infeasible".to_string()),
-            flapped: false,
-            ..rec
-        };
-        let back = decode_replan_event(&replan_event_body(&skipped)).expect("round trip");
-        assert_eq!(back, skipped);
-        assert!(decode_replan_event(&Value::Null).is_none());
     }
 
     #[test]
@@ -585,32 +614,30 @@ mod tests {
             &[1, 2, 3],
             &[0, u64::MAX, 7],
         );
-        let meta = replan_meta_body("aaaa000000000000", &stream, 512.25);
-        assert!(replan_meta_matches(&meta, "aaaa000000000000", &stream));
-        assert!(!replan_meta_matches(&meta, "bbbb000000000000", &stream));
-        assert_eq!(
-            replan_meta_cost0(&meta).map(f64::to_bits),
-            Some(512.25f64.to_bits())
-        );
+        let meta = ReplanMeta {
+            fp: "aaaa000000000000".to_string(),
+            stream: stream.clone(),
+            cost0: HexF64(512.25),
+        };
         let fps = vec![
             "1111000000000000".to_string(),
             "2222000000000000".to_string(),
         ];
         assert_eq!(
-            classify_replan_meta(&meta, &stream, "aaaa000000000000", &fps),
+            meta.classify(&stream, "aaaa000000000000", &fps),
             MetaMatch::Exact
         );
         assert_eq!(
-            classify_replan_meta(&meta, &stream, "2222000000000000", &fps),
+            meta.classify(&stream, "2222000000000000", &fps),
             MetaMatch::Ancestor(1)
         );
         assert_eq!(
-            classify_replan_meta(&meta, &stream, "9999000000000000", &fps),
+            meta.classify(&stream, "9999000000000000", &fps),
             MetaMatch::Mismatch
         );
         // A different stream never matches, even from the exact instance.
         assert_eq!(
-            classify_replan_meta(&meta, "other-stream", "aaaa000000000000", &fps),
+            meta.classify("other-stream", "aaaa000000000000", &fps),
             MetaMatch::Mismatch
         );
         // The tag is sensitive to every component of the stream spec.
@@ -623,45 +650,6 @@ mod tests {
         );
         assert_ne!(stream, other_events);
         assert_ne!(stream, other_units);
-    }
-
-    #[test]
-    fn master_record_round_trips() {
-        let m = MasterOutcome {
-            status: MipStatus::TimeLimit,
-            cost: 99.5,
-            units: vec![2, 2, 0],
-            nodes: 17,
-            cuts_added: 4,
-            best_bound: 80.25,
-            deadline_overshoot_us: 123,
-        };
-        let (back, quality) =
-            decode_master(&master_body(&m, PlanQuality::Incumbent)).expect("round trip");
-        assert_eq!(back.status, m.status);
-        assert_eq!(back.cost.to_bits(), m.cost.to_bits());
-        assert_eq!(back.units, m.units);
-        assert_eq!(back.nodes, 17);
-        assert_eq!(back.best_bound.to_bits(), m.best_bound.to_bits());
-        assert_eq!(back.deadline_overshoot_us, 123);
-        assert_eq!(quality, PlanQuality::Incumbent);
-    }
-
-    #[test]
-    fn pre_supervisor_master_records_infer_their_quality() {
-        // A record written before the anytime supervisor: no quality,
-        // rung or overshoot fields.
-        let legacy = Value::Object(vec![
-            ("status".to_string(), Value::Str("optimal".to_string())),
-            ("cost".to_string(), Value::Str(f64_to_hex(10.0))),
-            ("units".to_string(), units_value(&[1, 2])),
-            ("nodes".to_string(), num(3)),
-            ("cuts_added".to_string(), num(0)),
-            ("best_bound".to_string(), Value::Str(f64_to_hex(10.0))),
-        ]);
-        let (back, quality) = decode_master(&legacy).expect("legacy decode");
-        assert_eq!(back.deadline_overshoot_us, 0);
-        assert_eq!(quality, PlanQuality::Optimal);
     }
 
     #[test]

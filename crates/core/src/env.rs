@@ -6,10 +6,23 @@
 //! step; a trajectory is `done` when the plan evaluator confirms the
 //! service expectations under every failure scenario.
 
-use np_eval::{EvalConfig, PlanEvaluator};
+use np_chaos::checkpoint::HexF64;
+use np_eval::{EvalConfig, EvalState, PlanEvaluator};
 use np_neural::{Csr, Matrix};
 use np_rl::{GraphEnv, Observation};
 use np_topology::{transform, LinkId, Network, PlanSnapshot};
+use serde::{Deserialize, Serialize};
+
+/// The checkpointed part of a [`PlanningEnv`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct EnvState {
+    /// Environment steps taken so far.
+    pub steps: u64,
+    /// Cheapest feasible plan seen: its cost and units per link.
+    pub best: Option<(HexF64, Vec<u32>)>,
+    /// The evaluator's cursor and certificate store.
+    pub eval: EvalState,
+}
 
 /// Environment over one planning instance.
 pub struct PlanningEnv {
@@ -167,6 +180,45 @@ impl PlanningEnv {
             self.caps_scratch[i] = f64::from(link.capacity_units) * self.net.unit_gbps;
         }
     }
+
+    /// What a checkpoint must preserve across a kill: the best plan, the
+    /// step counter and the evaluator's stateful cursor + certificate
+    /// pool. Everything else (capacities, scratch) is rebuilt by the next
+    /// `reset()`.
+    pub fn state(&self) -> EnvState {
+        EnvState {
+            steps: self.steps_taken,
+            best: self
+                .best
+                .as_ref()
+                .map(|(cost, snap)| (HexF64(*cost), snap.as_slice().to_vec())),
+            eval: self.evaluator.snapshot_state(),
+        }
+    }
+
+    /// Restore state captured by [`PlanningEnv::state`]. Returns `false`
+    /// (leaving the environment untouched) when the best plan or the
+    /// evaluator state does not fit this instance — a foreign or corrupt
+    /// checkpoint degrades to a fresh start.
+    pub fn restore_state(&mut self, state: &EnvState) -> bool {
+        let links = self.net.links().len();
+        if let Some((cost, units)) = &state.best {
+            if !cost.0.is_finite() || units.len() != links {
+                return false;
+            }
+        }
+        // The evaluator validates fully before mutating, so a rejected
+        // state leaves `self` untouched.
+        if !self.evaluator.restore_state(&state.eval, links) {
+            return false;
+        }
+        self.steps_taken = state.steps;
+        self.best = state
+            .best
+            .as_ref()
+            .map(|(cost, units)| (cost.0, PlanSnapshot::from_units(units.clone())));
+        true
+    }
 }
 
 impl GraphEnv for PlanningEnv {
@@ -224,70 +276,14 @@ impl GraphEnv for PlanningEnv {
         Some(self)
     }
 
-    /// Serialize what a checkpoint must preserve across a kill: the best
-    /// plan (cost bit-exact as hex), the step counter and the evaluator's
-    /// stateful cursor + certificate pool. Everything else (capacities,
-    /// scratch) is rebuilt by the next `reset()`.
+    /// [`PlanningEnv::state`] as JSON text.
     fn state_json(&self) -> Option<String> {
-        use np_chaos::checkpoint::f64_to_hex;
-        let best = match &self.best {
-            None => "-".to_string(),
-            Some((cost, snap)) => {
-                let units: Vec<String> = snap.as_slice().iter().map(u32::to_string).collect();
-                format!("{}:{}", f64_to_hex(*cost), units.join(","))
-            }
-        };
-        Some(format!(
-            "1|{}|{}|{}",
-            self.steps_taken,
-            best,
-            self.evaluator.snapshot_state()
-        ))
+        serde_json::to_string(&self.state()).ok()
     }
 
-    /// Restore a [`GraphEnv::state_json`] blob. Returns `false` (leaving
-    /// the environment untouched) on any version, shape or encoding
-    /// mismatch — a foreign or corrupt blob degrades to a fresh start.
+    /// Restore JSON text written by [`GraphEnv::state_json`].
     fn restore_state_json(&mut self, blob: &str) -> bool {
-        use np_chaos::checkpoint::hex_to_f64;
-        let mut parts = blob.splitn(4, '|');
-        let (Some(version), Some(steps), Some(best), Some(eval)) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            return false;
-        };
-        if version != "1" {
-            return false;
-        }
-        let Ok(steps) = steps.parse::<u64>() else {
-            return false;
-        };
-        let best = if best == "-" {
-            None
-        } else {
-            let Some((cost_hex, units_csv)) = best.split_once(':') else {
-                return false;
-            };
-            let Some(cost) = hex_to_f64(cost_hex) else {
-                return false;
-            };
-            let units: Option<Vec<u32>> = units_csv.split(',').map(|u| u.parse().ok()).collect();
-            let Some(units) = units else {
-                return false;
-            };
-            if !cost.is_finite() || units.len() != self.net.links().len() {
-                return false;
-            }
-            Some((cost, PlanSnapshot::from_units(units)))
-        };
-        // The evaluator validates fully before mutating, so a rejected
-        // blob leaves `self` untouched.
-        if !self.evaluator.restore_state(eval) {
-            return false;
-        }
-        self.steps_taken = steps;
-        self.best = best;
-        true
+        serde_json::from_str::<EnvState>(blob).is_ok_and(|s| self.restore_state(&s))
     }
 
     fn reset(&mut self) -> Observation {
@@ -455,9 +451,13 @@ mod tests {
     fn restore_rejects_foreign_blobs() {
         let mut e = env();
         e.reset();
-        assert!(!e.restore_state_json("2|0|-|1|0|0"), "wrong version");
-        assert!(!e.restore_state_json("1|x|-|1|0|0"), "bad step count");
-        assert!(!e.restore_state_json("1|0|zz:1,2|1|0|0"), "bad best plan");
+        let links = e.network().links().len();
+        let mut state = e.state();
+        state.best = Some((HexF64(10.0), vec![1, 2]));
+        assert!(!e.restore_state(&state), "best plan of the wrong length");
+        state.best = Some((HexF64(f64::NAN), vec![0; links]));
+        assert!(!e.restore_state(&state), "non-finite best cost");
+        assert!(!e.restore_state_json("garbage"), "not a blob at all");
         // A blob from a different topology (wrong cert count) is refused.
         let blob = e.state_json().unwrap();
         let net2 = GeneratorConfig::preset(TopologyPreset::B).generate();

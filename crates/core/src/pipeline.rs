@@ -3,7 +3,7 @@
 //! retried with seeded backoff, and hard budget exhaustion walks the
 //! degradation ladder instead of failing (DESIGN.md §11).
 
-use crate::checkpoint;
+use crate::checkpoint::{self, EpochRecord, FirstStageRecord, MasterRecord, PlanRecord};
 use crate::config::NeuroPlanConfig;
 use crate::env::PlanningEnv;
 use crate::greedy::greedy_augment;
@@ -12,7 +12,7 @@ use crate::master::{
     MasterConfig, MasterOutcome,
 };
 use crate::report::PruningReport;
-use np_chaos::checkpoint::{append_record, read_records, Record};
+use np_chaos::checkpoint::{append_record, read_records, reopen_records};
 use np_eval::EvalStats;
 use np_flow::MetricCut;
 use np_lp::MipStatus;
@@ -20,7 +20,7 @@ use np_rl::{train_resumable, ActorCritic, GraphEnv, TrainProgress, TrainReport, 
 use np_supervisor::{PlanQuality, StageCtx, StageError, SupervisionReport, Supervisor};
 use np_telemetry::{sys, Telemetry};
 use np_topology::Network;
-use serde_json::Value;
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -178,9 +178,9 @@ pub struct NeuroPlan {
     /// Telemetry sink threaded through both stages (noop by default).
     pub tel: Telemetry,
     /// Directory for checkpoint records (`None` = no checkpointing). The
-    /// pipeline appends to `<dir>/checkpoint.jsonl` — a `meta` record,
-    /// one `epoch` record per completed training epoch, a `first_stage`
-    /// record and a `master` record (DESIGN.md §10).
+    /// pipeline appends [`PlanRecord`]s to `<dir>/checkpoint.jsonl` — a
+    /// `Meta` record, one `Epoch` record per completed training epoch, a
+    /// `FirstStage` record and a `Master` record (DESIGN.md §10).
     pub checkpoint_dir: Option<PathBuf>,
     /// Resume from valid records already in `checkpoint_dir`. Resuming a
     /// run killed at any epoch reproduces the uninterrupted run's plan
@@ -242,10 +242,10 @@ impl NeuroPlan {
 
     /// Best-effort record append: a full disk must degrade the run to
     /// "unresumable", never kill it.
-    pub(crate) fn append(&self, path: &Path, kind: &str, body: Value, chaos: &np_chaos::Chaos) {
+    pub(crate) fn append<R: Serialize>(&self, path: &Path, record: &R, chaos: &np_chaos::Chaos) {
         let t0 = np_telemetry::profiling().then(std::time::Instant::now);
-        if let Err(e) = append_record(path, kind, body, chaos) {
-            eprintln!("warning: failed to write checkpoint record `{kind}`: {e}");
+        if let Err(e) = append_record(path, record, chaos) {
+            eprintln!("warning: failed to write checkpoint record: {e}");
         }
         if let Some(t0) = t0 {
             self.tel.record_span(
@@ -282,15 +282,17 @@ impl NeuroPlan {
         let sup =
             Supervisor::new(self.cfg.supervisor, self.tel.clone()).with_cancel(self.cancel.clone());
         let ckpt = self.checkpoint_path();
-        let mut records: Vec<Record> = Vec::new();
+        let mut records: Vec<PlanRecord> = Vec::new();
         if let Some(path) = &ckpt {
             let fp = checkpoint::fingerprint(net, &self.cfg);
             if self.resume {
-                records = read_records(path);
-                let matches = records
-                    .first()
-                    .is_some_and(|r| r.kind == "meta" && checkpoint::meta_matches(&r.body, &fp));
-                if !matches && !records.is_empty() {
+                // Reopening cuts a torn tail, so what we append next is
+                // readable by the resume after this one.
+                records = reopen_records(path).unwrap_or_default();
+                let links = net.links().len();
+                let usable = matches!(records.first(), Some(PlanRecord::Meta(f)) if *f == fp)
+                    && records.iter().all(|r| r.fits(links));
+                if !usable && !records.is_empty() {
                     eprintln!(
                         "warning: checkpoint in {} does not match this instance/config; \
                          starting fresh",
@@ -304,25 +306,15 @@ impl NeuroPlan {
                     let _ = std::fs::create_dir_all(dir);
                 }
                 let _ = std::fs::remove_file(path);
-                self.append(path, "meta", checkpoint::meta_body(&fp), chaos);
+                self.append(path, &PlanRecord::Meta(fp), chaos);
             }
         }
-        let epoch_recs: Vec<checkpoint::EpochRecord> = records
-            .iter()
-            .filter(|r| r.kind == "epoch")
-            .filter_map(|r| checkpoint::decode_epoch(&r.body))
-            .collect();
+        let (epoch_recs, first_rec, master_rec) = checkpoint::split_records(records);
         let epoch_stats = TrainReport {
-            epochs: epoch_recs.iter().map(|e| e.stats.clone()).collect(),
+            epochs: epoch_recs.iter().map(EpochRecord::stats).collect(),
         };
-        let first_rec = records
-            .iter()
-            .find(|r| r.kind == "first_stage")
-            .and_then(|r| checkpoint::decode_first_stage(&r.body, epoch_stats));
-        let master_rec = records
-            .iter()
-            .find(|r| r.kind == "master")
-            .and_then(|r| checkpoint::decode_master(&r.body));
+        let first_rec = first_rec.map(|f| f.restore(epoch_stats));
+        let master_rec = master_rec.as_ref().map(MasterRecord::restore);
 
         // A run that already finished resumes straight to its recorded
         // result, including the ladder rung the original run settled on.
@@ -351,11 +343,9 @@ impl NeuroPlan {
                         // from the records the failed attempt managed to
                         // append, not from the stale pre-attempt view.
                         let recs = match (&ckpt, ctx.attempt) {
-                            (Some(path), a) if a > 0 => read_records(path)
-                                .iter()
-                                .filter(|r| r.kind == "epoch")
-                                .filter_map(|r| checkpoint::decode_epoch(&r.body))
-                                .collect(),
+                            (Some(path), a) if a > 0 => {
+                                checkpoint::split_records(read_records(path)).0
+                            }
                             _ => epoch_recs.clone(),
                         };
                         self.first_stage_resumable(net, ckpt.as_deref(), recs, chaos, Some(ctx))
@@ -371,8 +361,7 @@ impl NeuroPlan {
                 if let Some(path) = &ckpt {
                     self.append(
                         path,
-                        "first_stage",
-                        checkpoint::first_stage_body(&first),
+                        &PlanRecord::FirstStage(FirstStageRecord::from(&first)),
                         chaos,
                     );
                 }
@@ -398,8 +387,7 @@ impl NeuroPlan {
         if let Some(path) = &ckpt {
             self.append(
                 path,
-                "master",
-                checkpoint::master_body(&master, quality),
+                &PlanRecord::Master(MasterRecord::new(&master, quality)),
                 chaos,
             );
         }
@@ -476,7 +464,7 @@ impl NeuroPlan {
         &self,
         net: &Network,
         ckpt: Option<&Path>,
-        epoch_recs: Vec<checkpoint::EpochRecord>,
+        epoch_recs: Vec<EpochRecord>,
         chaos: &np_chaos::Chaos,
         ctx: Option<&StageCtx>,
     ) -> Result<FirstStage, StageError> {
@@ -510,7 +498,7 @@ impl NeuroPlan {
         // rather than training from a half-restored state.
         let mut resume: Option<TrainResume> = None;
         if let Some(last) = epoch_recs.last() {
-            if agent.import_state(&last.agent) && env.restore_state_json(&last.env) {
+            if agent.restore_state(&last.agent) && env.restore_state(&last.env) {
                 // Reconstruct the early-stop decision: if the streak had
                 // already reached the patience threshold, the original
                 // run stopped after this epoch — the resumed run must
@@ -524,9 +512,9 @@ impl NeuroPlan {
                         last.next_epoch
                     },
                     converged_run: last.converged_run,
-                    prev_return: last.prev_return,
+                    prev_return: last.prev_return.0,
                     recovery_nonce: last.recovery_nonce,
-                    stats: epoch_recs.iter().map(|e| e.stats.clone()).collect(),
+                    stats: epoch_recs.iter().map(EpochRecord::stats).collect(),
                 });
             } else {
                 eprintln!(
@@ -552,14 +540,13 @@ impl NeuroPlan {
             Some(path) => {
                 let mut hook =
                     |agent: &mut ActorCritic, env: &mut dyn GraphEnv, p: &TrainProgress<'_>| {
-                        let agent_blob = agent.export_state();
-                        let env_blob = env.state_json().unwrap_or_default();
-                        self.append(
-                            path,
-                            "epoch",
-                            checkpoint::epoch_body(p, &agent_blob, &env_blob),
-                            chaos,
-                        );
+                        // `env` is this stage's PlanningEnv behind the
+                        // trainer's trait object; its JSON is an EnvState.
+                        let env = env.state_json().and_then(|j| serde_json::from_str(&j).ok());
+                        if let Some(env) = env {
+                            let rec = EpochRecord::new(p, agent.state(), env);
+                            self.append(path, &PlanRecord::Epoch(rec), chaos);
+                        }
                     };
                 train_resumable(
                     &mut env,

@@ -14,20 +14,20 @@
 //! supervisor ladder (master → LP rounding → carried plan), an event
 //! whose perturbation would make the instance structurally infeasible is
 //! skipped with the previous plan kept, and — with a checkpoint
-//! directory — each event appends a `replan_event` record to
+//! directory — each event appends an `Event` record to
 //! `<dir>/replan.jsonl` carrying the *ancestor fingerprint chain*: the
 //! fingerprint of the instance before and after the event plus the
 //! evaluator's certificate snapshot. A killed stream resumes by locating
 //! the current instance in that chain and replaying only perturbations
 //! (no solves, no cut re-derivation) up to the first unrecorded event.
 
-use crate::checkpoint::{self, MetaMatch, ReplanEventRecord};
+use crate::checkpoint::{self, MetaMatch, ReplanEventRecord, ReplanMeta, ReplanRecord};
 use crate::master::{lp_round_plan, plan_cost_of, solve_master_telemetry, MasterConfig};
 use crate::pipeline::{NeuroPlan, PlanFailure};
-use np_chaos::checkpoint::read_records;
+use np_chaos::checkpoint::{reopen_records, HexF64};
 use np_chaos::FaultClass;
 use np_churn::ChurnEvent;
-use np_eval::{EvalStats, PlanEvaluator};
+use np_eval::{EvalState, EvalStats, PlanEvaluator};
 use np_flow::MetricCut;
 use np_lp::MipStatus;
 use np_supervisor::{PlanQuality, StageError, SupervisionReport, Supervisor};
@@ -200,48 +200,46 @@ impl NeuroPlan {
         ];
         let stream = checkpoint::replan_stream_tag(&event_strs, initial_units, &knob_bits);
         let mut start = 0usize;
-        let mut eval_blob: Option<String> = None;
+        let mut eval_state: Option<EvalState> = None;
         if let Some(path) = &ckpt {
             let fp_now = checkpoint::fingerprint(&cur, &self.cfg);
             let mut kept: Vec<ReplanEventRecord> = Vec::new();
             let mut total_decoded = 0usize;
-            let mut meta_ok = false;
-            let mut meta_body: Option<serde_json::Value> = None;
+            let mut meta: Option<ReplanMeta> = None;
             if self.resume {
-                let records = read_records(path);
+                // Reopening cuts a torn tail, so what we append next is
+                // readable by the resume after this one.
+                let records: Vec<ReplanRecord> = reopen_records(path).unwrap_or_default();
+                let first = match records.first() {
+                    Some(ReplanRecord::Meta(m)) => Some(m.clone()),
+                    _ => None,
+                };
                 let decoded: Vec<ReplanEventRecord> = records
                     .iter()
                     .skip(1)
-                    .take_while(|r| r.kind == "replan_event")
-                    .filter_map(|r| checkpoint::decode_replan_event(&r.body))
+                    .map_while(|r| match r {
+                        ReplanRecord::Event(e) => Some(e.clone()),
+                        ReplanRecord::Meta(_) => None,
+                    })
                     .collect();
                 total_decoded = decoded.len();
-                let meta = records.first().filter(|r| r.kind == "replan_meta");
                 let fps: Vec<String> = decoded.iter().map(|r| r.fp.clone()).collect();
-                let class = match meta {
-                    Some(m) => checkpoint::classify_replan_meta(&m.body, &stream, &fp_now, &fps),
-                    None => MetaMatch::Mismatch,
+                let class = match first.as_ref().map(|m| m.classify(&stream, &fp_now, &fps)) {
+                    // The recorded plan must fit the instance we hold.
+                    Some(MetaMatch::Ancestor(i)) if decoded[i].units.len() != cur.links().len() => {
+                        MetaMatch::Mismatch
+                    }
+                    class => class.unwrap_or(MetaMatch::Mismatch),
                 };
-                let replay_from = match class {
+                // Records before `adopt` produced states the caller's
+                // instance already descends from: adopt their plans and
+                // certificates as recorded. The rest must replay. On an
+                // ancestor resume the pre-stream cost comes from the meta
+                // record — the caller no longer holds that instance.
+                let adopt = match class {
                     MetaMatch::Exact => Some(0),
-                    // The instance we hold *is* the state record `i`
-                    // produced: adopt its plan and certificates, replay
-                    // only what follows. The pre-stream cost comes from
-                    // the meta record — the caller no longer holds the
-                    // instance it was computed on.
                     MetaMatch::Ancestor(i) => {
-                        for rec in &decoded[..=i] {
-                            reports.push(report_of(rec, true));
-                        }
-                        if let Some(c0) = meta.and_then(|m| checkpoint::replan_meta_cost0(&m.body))
-                        {
-                            initial_cost = c0;
-                        }
-                        units = decoded[i].units.clone();
-                        cost = decoded[i].cost;
-                        quality = decoded[i].quality;
-                        eval_blob = Some(decoded[i].eval.clone());
-                        start = decoded[i].index + 1;
+                        initial_cost = first.as_ref().map_or(initial_cost, |m| m.cost0.0);
                         Some(i + 1)
                     }
                     MetaMatch::Mismatch => {
@@ -255,55 +253,49 @@ impl NeuroPlan {
                         None
                     }
                 };
-                if let Some(from) = replay_from {
-                    meta_ok = true;
-                    meta_body = meta.map(|m| m.body.clone());
-                    kept = decoded[..from].to_vec();
-                    for rec in &decoded[from..] {
-                        if !replay_record(&mut cur, rec, &event_strs, rcfg, &self.cfg) {
+                if let Some(adopt) = adopt {
+                    meta = first;
+                    for (j, rec) in decoded.iter().enumerate() {
+                        if j >= adopt && !replay_record(&mut cur, rec, &event_strs, rcfg, &self.cfg)
+                        {
                             break;
                         }
                         units = rec.units.clone();
-                        cost = rec.cost;
+                        cost = rec.cost.0;
                         quality = rec.quality;
-                        eval_blob = Some(rec.eval.clone());
+                        eval_state = Some(rec.eval.clone());
                         start = rec.index + 1;
                         reports.push(report_of(rec, true));
                         kept.push(rec.clone());
                     }
                 }
             }
-            if !meta_ok {
-                if lengths_ok {
+            match meta {
+                None if lengths_ok => {
                     if let Some(dir) = path.parent() {
                         let _ = std::fs::create_dir_all(dir);
                     }
                     let _ = std::fs::remove_file(path);
-                    self.append(
-                        path,
-                        "replan_meta",
-                        checkpoint::replan_meta_body(&fp_now, &stream, initial_cost),
-                        chaos,
-                    );
+                    let meta = ReplanMeta {
+                        fp: fp_now,
+                        stream: stream.clone(),
+                        cost0: HexF64(initial_cost),
+                    };
+                    self.append(path, &ReplanRecord::Meta(meta), chaos);
                 }
-            } else if kept.len() < total_decoded {
                 // Some trailing records were rejected (stale chain after
                 // an earlier divergence): rewrite the file — keeping the
                 // original meta record, which anchors the chain at the
                 // stream's true start — so the next resume never sees
                 // duplicate event indices.
-                if let Some(body) = meta_body {
+                Some(meta) if kept.len() < total_decoded => {
                     let _ = std::fs::remove_file(path);
-                    self.append(path, "replan_meta", body, chaos);
-                    for rec in &kept {
-                        self.append(
-                            path,
-                            "replan_event",
-                            checkpoint::replan_event_body(rec),
-                            chaos,
-                        );
+                    self.append(path, &ReplanRecord::Meta(meta), chaos);
+                    for rec in kept {
+                        self.append(path, &ReplanRecord::Event(rec), chaos);
                     }
                 }
+                _ => {}
             }
         }
         if units.len() != cur.link_ids().count() {
@@ -323,8 +315,8 @@ impl NeuroPlan {
         // already derived, so resuming re-separates nothing that is
         // still valid.
         let mut evaluator = PlanEvaluator::with_telemetry(&cur, self.cfg.eval, self.tel.clone());
-        if let Some(blob) = eval_blob {
-            if !evaluator.restore_state(&blob) {
+        if let Some(state) = eval_state {
+            if !evaluator.restore_state(&state, cur.links().len()) {
                 eprintln!("warning: checkpointed evaluator state failed to restore; cuts will be re-derived");
             }
         }
@@ -427,7 +419,7 @@ impl NeuroPlan {
                     event: event_strs[k].clone(),
                     ancestor_fp: afp,
                     fp: checkpoint::fingerprint(&cur, &self.cfg),
-                    cost,
+                    cost: HexF64(cost),
                     units: units.clone(),
                     eval: evaluator.snapshot_state(),
                     quality,
@@ -437,12 +429,7 @@ impl NeuroPlan {
                     dropped,
                     flapped,
                 };
-                self.append(
-                    path,
-                    "replan_event",
-                    checkpoint::replan_event_body(&rec),
-                    chaos,
-                );
+                self.append(path, &ReplanRecord::Event(rec), chaos);
             }
             reports.push(EventReport {
                 index: k,
@@ -633,7 +620,7 @@ fn report_of(rec: &ReplanEventRecord, resumed: bool) -> EventReport {
         class: rec.class.clone(),
         event: rec.event.clone(),
         skipped: rec.skipped.clone(),
-        cost: rec.cost,
+        cost: rec.cost.0,
         quality: rec.quality,
         churn: rec.churn,
         certs_retained: rec.retained,
@@ -678,7 +665,7 @@ fn replay_record(
             return false;
         }
     }
-    if checkpoint::fingerprint(&next, cfg) != rec.fp {
+    if rec.units.len() != next.links().len() || checkpoint::fingerprint(&next, cfg) != rec.fp {
         return false;
     }
     *cur = next;

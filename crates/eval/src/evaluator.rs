@@ -4,9 +4,11 @@
 use crate::checker::{check_scenario, CheckConfig, Verdict};
 use crate::scenario::{build_all, scenario_at, ScenarioCtx};
 use crate::stats::EvalStats;
+use np_chaos::checkpoint::HexF64;
 use np_flow::MetricCut;
 use np_telemetry::{sys, Telemetry};
 use np_topology::{LinkId, Network, PerturbDelta};
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Per-worker result of a parallel scenario scan: the chunk's offset, its
@@ -21,6 +23,49 @@ enum SepItem {
     Cut(MetricCut),
     /// The scenario at this local offset is structurally unfixable.
     Structural(usize),
+}
+
+/// A persisted [`MetricCut`]: the right-hand side and the
+/// `(link index, coefficient)` pairs.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct CertRecord {
+    pub rhs: HexF64,
+    pub coeff: Vec<(usize, HexF64)>,
+}
+
+impl CertRecord {
+    /// Whether every coefficient names one of `links` links.
+    pub fn fits(&self, links: usize) -> bool {
+        self.coeff.iter().all(|&(l, _)| l < links)
+    }
+}
+
+impl From<&MetricCut> for CertRecord {
+    fn from(c: &MetricCut) -> Self {
+        let coeff = c.coeff.iter().map(|&(l, w)| (l.index(), HexF64(w)));
+        CertRecord {
+            rhs: HexF64(c.rhs),
+            coeff: coeff.collect(),
+        }
+    }
+}
+
+impl From<&CertRecord> for MetricCut {
+    fn from(c: &CertRecord) -> Self {
+        let coeff = c.coeff.iter().map(|&(l, w)| (LinkId::new(l), w.0));
+        MetricCut {
+            coeff: coeff.collect(),
+            rhs: c.rhs.0,
+        }
+    }
+}
+
+/// The checkpointed part of a [`PlanEvaluator`]: the stateful cursor and
+/// the certificate store, one optional certificate per scenario.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct EvalState {
+    pub cursor: usize,
+    pub certs: Vec<Option<CertRecord>>,
 }
 
 /// Evaluator configuration: which paper optimizations are active. The
@@ -561,69 +606,37 @@ impl PlanEvaluator {
         self.certs[scenario_idx].as_ref()
     }
 
-    /// Serialize the evaluator state a checkpoint must carry: the
-    /// stateful cursor and the certificate store (certificates feed the
-    /// master's seed cuts, so resuming without them would change the
-    /// second stage). Floats travel as little-endian hex for bit-exact
-    /// restoration.
-    pub fn snapshot_state(&self) -> String {
-        use np_chaos::checkpoint::f64_to_hex;
-        let mut s = format!("1|{}|{}", self.cursor, self.certs.len());
-        for cert in &self.certs {
-            s.push('|');
-            match cert {
-                None => s.push('-'),
-                Some(c) => {
-                    s.push_str(&f64_to_hex(c.rhs));
-                    for (l, w) in &c.coeff {
-                        s.push_str(&format!(";{},{}", l.index(), f64_to_hex(*w)));
-                    }
-                }
-            }
+    /// The evaluator state a checkpoint must carry: the stateful cursor
+    /// and the certificate store (certificates feed the master's seed
+    /// cuts, so resuming without them would change the second stage).
+    pub fn snapshot_state(&self) -> EvalState {
+        EvalState {
+            cursor: self.cursor,
+            certs: self
+                .certs
+                .iter()
+                .map(|c| c.as_ref().map(CertRecord::from))
+                .collect(),
         }
-        s
     }
 
-    /// Restore state captured by [`PlanEvaluator::snapshot_state`].
-    /// Returns `false` (leaving the evaluator untouched) if the blob's
-    /// version or scenario count does not match this instance.
-    pub fn restore_state(&mut self, blob: &str) -> bool {
-        use np_chaos::checkpoint::hex_to_f64;
-        let parts: Vec<&str> = blob.split('|').collect();
-        if parts.len() < 3 || parts[0] != "1" {
-            return false;
+    /// Restore state captured by [`PlanEvaluator::snapshot_state`] on an
+    /// instance of `links` links. Returns `false` (leaving the evaluator
+    /// untouched) if the scenario count, cursor or a certificate's link
+    /// indices do not fit this instance.
+    pub fn restore_state(&mut self, state: &EvalState, links: usize) -> bool {
+        let fits = state.certs.len() == self.certs.len()
+            && state.cursor <= self.ctxs.len()
+            && state.certs.iter().flatten().all(|c| c.fits(links));
+        if fits {
+            self.certs = state
+                .certs
+                .iter()
+                .map(|c| c.as_ref().map(MetricCut::from))
+                .collect();
+            self.cursor = state.cursor;
         }
-        let (Ok(cursor), Ok(n)) = (parts[1].parse::<usize>(), parts[2].parse::<usize>()) else {
-            return false;
-        };
-        if n != self.certs.len() || parts.len() != 3 + n || cursor > self.ctxs.len() {
-            return false;
-        }
-        let mut certs = Vec::with_capacity(n);
-        for p in &parts[3..] {
-            if *p == "-" {
-                certs.push(None);
-                continue;
-            }
-            let mut fields = p.split(';');
-            let Some(rhs) = fields.next().and_then(hex_to_f64) else {
-                return false;
-            };
-            let mut coeff = Vec::new();
-            for f in fields {
-                let Some((i, w)) = f.split_once(',') else {
-                    return false;
-                };
-                let (Ok(i), Some(w)) = (i.parse::<usize>(), hex_to_f64(w)) else {
-                    return false;
-                };
-                coeff.push((LinkId::new(i), w));
-            }
-            certs.push(Some(MetricCut { coeff, rhs }));
-        }
-        self.certs = certs;
-        self.cursor = cursor;
-        true
+        fits
     }
 
     /// Carry the evaluator across a perturbation instead of rebuilding it
@@ -865,16 +878,18 @@ mod tests {
     #[test]
     fn state_snapshot_roundtrips_cursor_and_certificates() {
         let net = GeneratorConfig::a_variant(0.0).generate();
+        let links = net.links().len();
         let mut ev = PlanEvaluator::new(&net, EvalConfig::default());
-        let caps = vec![0.0; net.links().len()];
+        let caps = vec![0.0; links];
         assert!(!ev.check(&caps).feasible, "dark network must fail");
         assert!(ev.certificate(0).is_some());
-        let blob = ev.snapshot_state();
+        let state = ev.snapshot_state();
+        assert_eq!(EvalState::from_value(&state.to_value()), Ok(state.clone()));
 
         let mut fresh = PlanEvaluator::new(&net, EvalConfig::default());
-        assert!(fresh.restore_state(&blob), "snapshot must restore");
+        assert!(fresh.restore_state(&state, links), "snapshot must restore");
         assert_eq!(fresh.cursor(), ev.cursor());
-        assert_eq!(fresh.snapshot_state(), blob, "round-trip is exact");
+        assert_eq!(fresh.snapshot_state(), state, "round-trip is exact");
         assert_eq!(fresh.certificate(0), ev.certificate(0));
         // The restored certificate short-circuits exactly like the
         // original: the repeat failure does zero new scenario checks.
@@ -887,13 +902,25 @@ mod tests {
     fn restore_rejects_foreign_snapshots() {
         let net_a = preset_network(TopologyPreset::A);
         let net_b = preset_network(TopologyPreset::B);
+        let links = net_a.links().len();
         let ev_b = PlanEvaluator::new(&net_b, EvalConfig::default());
         let mut ev_a = PlanEvaluator::new(&net_a, EvalConfig::default());
         if ev_a.num_scenarios() != ev_b.num_scenarios() {
-            assert!(!ev_a.restore_state(&ev_b.snapshot_state()));
+            assert!(!ev_a.restore_state(&ev_b.snapshot_state(), links));
         }
-        assert!(!ev_a.restore_state("garbage"));
-        assert!(!ev_a.restore_state("2|0|0"));
+        let mut state = ev_a.snapshot_state();
+        state.cursor = ev_a.num_scenarios() + 1;
+        assert!(!ev_a.restore_state(&state, links), "cursor past the end");
+        let mut state = ev_a.snapshot_state();
+        state.certs[0] = Some(CertRecord {
+            rhs: HexF64(1.0),
+            coeff: vec![(links, HexF64(1.0))],
+        });
+        assert!(
+            !ev_a.restore_state(&state, links),
+            "link index out of range"
+        );
+        assert_eq!(ev_a.certificate(0), None, "rejection leaves the store");
     }
 
     #[test]

@@ -37,6 +37,8 @@ pub mod scenario;
 pub mod stats;
 
 pub use checker::{check_scenario, Backend, CheckConfig, Verdict};
-pub use evaluator::{caps_of, EvalConfig, PlanEvaluator, Separation, TrajectoryCheck};
+pub use evaluator::{
+    caps_of, CertRecord, EvalConfig, EvalState, PlanEvaluator, Separation, TrajectoryCheck,
+};
 pub use scenario::{scenario_count, Scenario, ScenarioCtx};
 pub use stats::EvalStats;

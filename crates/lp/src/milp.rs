@@ -159,7 +159,7 @@ impl Default for MipConfig {
 }
 
 /// Final status of a MILP solve.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum MipStatus {
     /// Incumbent proven optimal (within `gap_tol`).
     Optimal,

@@ -12,10 +12,28 @@
 //! the GCN with its own loss, mirroring Algorithm 1 lines 16–22.
 
 use crate::buffer::StepRecord;
+use np_chaos::checkpoint::{HexF64, HexF64s, HexU64};
 use np_neural::ops::{masked_log_prob, masked_softmax, policy_logit_grad, sample_categorical};
 use np_neural::{Adam, Csr, Gat, Gcn, Matrix, Mlp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Serialize};
+
+/// The checkpointed learning state of an [`ActorCritic`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct AgentState {
+    /// Bias-correction step count of the actor's Adam optimizer.
+    pub actor_steps: u64,
+    /// Bias-correction step count of the critic's Adam optimizer.
+    pub critic_steps: u64,
+    /// Sampling-RNG state words.
+    pub rng: [HexU64; 4],
+    /// Exploration temperature.
+    pub explore_temp: HexF64,
+    /// Each parameter's values, then its first and second Adam moments,
+    /// parameter after parameter.
+    pub params: HexF64s,
+}
 
 /// Which graph encoder the agent uses (§4.2 compares both and finds the
 /// GCN stronger for this problem; the GAT is kept for the ablation).
@@ -334,66 +352,33 @@ impl ActorCritic {
         }
     }
 
-    /// Serialize the full learning state — optimizer step counts,
-    /// sampling-RNG state, exploration temperature, and every parameter's
-    /// value and Adam moments — as a version-tagged ASCII blob. All
-    /// floats travel as little-endian hex, so
-    /// [`ActorCritic::import_state`] restores them bit-for-bit.
-    pub fn export_state(&mut self) -> String {
-        let mut vals = Vec::new();
+    /// The full learning state: optimizer step counts, sampling-RNG
+    /// state, exploration temperature, and every parameter's value and
+    /// Adam moments, all bit-exact.
+    pub fn state(&mut self) -> AgentState {
+        let mut params = Vec::new();
         for p in self.all_params() {
-            vals.extend_from_slice(p.value.as_slice());
-            vals.extend_from_slice(p.m.as_slice());
-            vals.extend_from_slice(p.v.as_slice());
+            params.extend_from_slice(p.value.as_slice());
+            params.extend_from_slice(p.m.as_slice());
+            params.extend_from_slice(p.v.as_slice());
         }
-        let rng_hex: String = self
-            .sample_rng
-            .state()
-            .iter()
-            .map(|w| format!("{w:016x}"))
-            .collect();
-        format!(
-            "1|{}|{}|{}|{}|{}",
-            self.adam_actor.steps(),
-            self.adam_critic.steps(),
-            rng_hex,
-            np_chaos::checkpoint::f64_to_hex(self.explore_temp),
-            np_chaos::checkpoint::f64s_to_hex(&vals),
-        )
+        AgentState {
+            actor_steps: self.adam_actor.steps(),
+            critic_steps: self.adam_critic.steps(),
+            rng: self.sample_rng.state().map(HexU64),
+            explore_temp: HexF64(self.explore_temp),
+            params: HexF64s(params),
+        }
     }
 
-    /// Restore state exported by [`ActorCritic::export_state`]. Returns
-    /// `false` (leaving the agent untouched) if the blob's version,
-    /// shape or encoding does not match this agent.
-    pub fn import_state(&mut self, blob: &str) -> bool {
-        let parts: Vec<&str> = blob.split('|').collect();
-        if parts.len() != 6 || parts[0] != "1" {
-            return false;
-        }
-        let (Ok(ta), Ok(tc)) = (parts[1].parse::<u64>(), parts[2].parse::<u64>()) else {
-            return false;
-        };
-        if parts[3].len() != 64 {
-            return false;
-        }
-        let mut rng_state = [0u64; 4];
-        for (k, word) in rng_state.iter_mut().enumerate() {
-            match u64::from_str_radix(&parts[3][16 * k..16 * (k + 1)], 16) {
-                Ok(w) => *word = w,
-                Err(_) => return false,
-            }
-        }
-        let Some(temp) = np_chaos::checkpoint::hex_to_f64(parts[4]) else {
-            return false;
-        };
-        if !(temp.is_finite() && temp > 0.0) {
-            return false;
-        }
-        let Some(vals) = np_chaos::checkpoint::hex_to_f64s(parts[5]) else {
-            return false;
-        };
+    /// Restore state captured by [`ActorCritic::state`]. Returns `false`
+    /// (leaving the agent untouched) if the parameter count does not
+    /// match this agent or the temperature is not a positive number.
+    pub fn restore_state(&mut self, state: &AgentState) -> bool {
+        let vals = &state.params.0;
+        let temp = state.explore_temp.0;
         let total: usize = self.all_params().iter().map(|p| p.len()).sum();
-        if vals.len() != 3 * total {
+        if vals.len() != 3 * total || !(temp.is_finite() && temp > 0.0) {
             return false;
         }
         let mut at = 0;
@@ -406,11 +391,22 @@ impl ActorCritic {
                 .copy_from_slice(&vals[at + 2 * n..at + 3 * n]);
             at += 3 * n;
         }
-        self.adam_actor.restore_steps(ta);
-        self.adam_critic.restore_steps(tc);
-        self.sample_rng = StdRng::from_state(rng_state);
+        self.adam_actor.restore_steps(state.actor_steps);
+        self.adam_critic.restore_steps(state.critic_steps);
+        self.sample_rng = StdRng::from_state(state.rng.map(|w| w.0));
         self.explore_temp = temp;
         true
+    }
+
+    /// [`ActorCritic::state`] as JSON text.
+    pub fn export_state(&mut self) -> String {
+        serde_json::to_string(&self.state()).expect("agent state serializes")
+    }
+
+    /// Restore JSON text written by [`ActorCritic::export_state`];
+    /// `false` (agent untouched) if it does not decode or fit.
+    pub fn import_state(&mut self, blob: &str) -> bool {
+        serde_json::from_str::<AgentState>(blob).is_ok_and(|s| self.restore_state(&s))
     }
 
     /// Sample greedily (argmax) instead of stochastically — used when
@@ -666,7 +662,12 @@ mod tests {
         let mut small = agent(3, 1);
         assert!(!small.import_state(&blob), "wrong shape");
         let mut twin = agent(5, 2);
-        assert!(!twin.import_state("2|0|0|00|x|y"), "wrong version");
+        let mut state = big.state();
+        state.explore_temp = HexF64(0.0);
+        assert!(!twin.restore_state(&state), "non-positive temperature");
+        let rng = serde_json::to_string(&big.state().rng).unwrap();
+        let hostile = blob.replacen(&rng[2..18], "é000000000000000", 1);
+        assert!(!twin.import_state(&hostile), "non-hex RNG word");
         assert!(!twin.import_state("garbage"), "not a blob at all");
         // Rejection must leave the agent usable.
         assert!(twin.params_finite());

@@ -23,7 +23,7 @@ pub mod env;
 pub mod evaluate;
 pub mod trainer;
 
-pub use agent::{ActorCritic, AgentConfig, Encoder};
+pub use agent::{ActorCritic, AgentConfig, AgentState, Encoder};
 pub use buffer::{EpochBuffer, StepRecord};
 pub use env::{GraphEnv, Observation};
 pub use evaluate::{evaluate, EvalRollouts};

@@ -1,37 +1,54 @@
 //! The crash-safe request journal.
 //!
 //! Every admission and every terminal transition is appended to
-//! `journal.jsonl` using the same versioned, checksummed record format
-//! as the planner's checkpoints (`np_chaos::checkpoint`), and in the
-//! same durability order the checkpoints use: the `submitted` record is
-//! flushed *before* the client hears "queued", so an admission the
-//! client observed can never be lost to a crash.
+//! `journal.jsonl` as a [`JournalRecord`], using the same versioned,
+//! checksummed envelope as the planner's checkpoints
+//! (`np_chaos::checkpoint`), and in the same durability order the
+//! checkpoints use: the `Submitted` record is flushed *before* the
+//! client hears "queued", so an admission the client observed can never
+//! be lost to a crash.
 //!
-//! Replay after a `kill -9` walks the valid prefix of the journal and
-//! classifies every request: a `submitted` with no terminal record is
-//! still in flight and must be re-enqueued (with `resume` set, so the
-//! run continues from its own checkpoint chain bit-identically); a
+//! After a `kill -9`, [`Journal::open`] returns the valid prefix of the
+//! journal and the daemon replays it: a `Submitted` with no terminal
+//! record is still in flight and is re-enqueued (with `resume` set, so
+//! the run continues from its own checkpoint chain bit-identically); a
 //! terminal record makes the outcome immediately retrievable by
 //! reconnecting clients. Torn tails — the crash landed mid-append — are
-//! dropped by the checksum exactly as checkpoint reads drop them.
+//! dropped by the checksum exactly as checkpoint reads drop them, and
+//! cut off the file so the next admission is appended on a clean line.
 
-use np_chaos::checkpoint::{append_record, read_records};
+use np_chaos::checkpoint::{append_record, reopen_records};
 use np_chaos::Chaos;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Journal file name inside the daemon's state directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
 
-/// Record kinds. `submitted` opens a request; the other three close it.
-pub const K_SUBMITTED: &str = "submitted";
-/// Terminal: the run produced a plan.
-pub const K_DONE: &str = "done";
-/// Terminal: the run failed (infeasible / budget exhausted).
-pub const K_FAILED: &str = "failed";
-/// Terminal: the run was cancelled.
-pub const K_CANCELLED: &str = "cancelled";
+/// One request's id and the JSON that goes with the record: the spec
+/// for `Submitted`, the result body or error for the terminals.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Entry {
+    /// The request id.
+    pub id: u64,
+    /// The spec, result body, or error payload.
+    pub body: Value,
+}
+
+/// One line of the journal. `Submitted` opens a request; the other
+/// three close it.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum JournalRecord {
+    /// An admission, with the submitted spec.
+    Submitted(Entry),
+    /// Terminal: the run produced a plan (the result body).
+    Done(Entry),
+    /// Terminal: the run failed (infeasible / budget exhausted).
+    Failed(Entry),
+    /// Terminal: the run was cancelled.
+    Cancelled(Entry),
+}
 
 /// Append-only writer over the journal file.
 pub struct Journal {
@@ -39,123 +56,36 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// A journal at `<dir>/journal.jsonl` (directory created if needed).
-    pub fn in_dir(dir: &Path) -> std::io::Result<Journal> {
+    /// Open the journal at `<dir>/journal.jsonl` (directory created if
+    /// needed) and return the records it holds. The file is first cut
+    /// back to its valid prefix, so a torn tail left by a crash cannot
+    /// swallow the records appended after this restart.
+    pub fn open(dir: &Path) -> std::io::Result<(Journal, Vec<JournalRecord>)> {
         std::fs::create_dir_all(dir)?;
-        Ok(Journal {
-            path: dir.join(JOURNAL_FILE),
-        })
+        let path = dir.join(JOURNAL_FILE);
+        let records = reopen_records(&path)?;
+        Ok((Journal { path }, records))
     }
 
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Record an admission. Must complete before the client is told
-    /// "queued" — this write is the durability point of admission.
-    pub fn submitted(&self, id: u64, spec: &Value, chaos: &Chaos) -> std::io::Result<()> {
-        append_record(
-            &self.path,
-            K_SUBMITTED,
-            Value::Object(vec![
-                ("id".to_string(), Value::Num(id as f64)),
-                ("spec".to_string(), spec.clone()),
-            ]),
-            chaos,
-        )
-    }
-
-    /// Record a terminal transition (`done`/`failed`/`cancelled`) with
-    /// its kind-specific payload (result body or error string).
-    pub fn terminal(
+    /// Append the `kind` record (a [`JournalRecord`] variant) of request
+    /// `id`. An admission must complete before the client is told
+    /// "queued", and a terminal before any client can observe it — these
+    /// writes are the durability points.
+    pub fn append(
         &self,
-        kind: &str,
+        kind: fn(Entry) -> JournalRecord,
         id: u64,
-        payload: Value,
+        body: Value,
         chaos: &Chaos,
     ) -> std::io::Result<()> {
-        debug_assert!(matches!(kind, K_DONE | K_FAILED | K_CANCELLED));
-        append_record(
-            &self.path,
-            kind,
-            Value::Object(vec![
-                ("id".to_string(), Value::Num(id as f64)),
-                ("payload".to_string(), payload),
-            ]),
-            chaos,
-        )
+        append_record(&self.path, &kind(Entry { id, body }), chaos)
     }
-}
-
-/// One request reconstructed from the journal.
-#[derive(Clone, Debug)]
-pub struct ReplayedRequest {
-    /// The id assigned at original admission (preserved across restarts).
-    pub id: u64,
-    /// The submitted spec.
-    pub spec: Value,
-    /// Terminal kind if the request finished before the crash.
-    pub terminal: Option<(&'static str, Value)>,
-}
-
-impl ReplayedRequest {
-    /// Still in flight at crash time — must be re-enqueued with resume.
-    pub fn pending(&self) -> bool {
-        self.terminal.is_none()
-    }
-}
-
-/// Replay the journal: every admitted request in admission order, with
-/// its terminal outcome when one was recorded. Also returns the next
-/// request id to assign (one past the highest seen).
-pub fn replay(path: &Path) -> (Vec<ReplayedRequest>, u64) {
-    let mut order: Vec<u64> = Vec::new();
-    let mut by_id: HashMap<u64, ReplayedRequest> = HashMap::new();
-    for rec in read_records(path) {
-        let Some(id) = rec.body.get("id").and_then(|v| v.as_u64()) else {
-            continue;
-        };
-        match rec.kind.as_str() {
-            K_SUBMITTED => {
-                let spec = rec.body.get("spec").cloned().unwrap_or(Value::Null);
-                if !by_id.contains_key(&id) {
-                    order.push(id);
-                }
-                by_id.insert(
-                    id,
-                    ReplayedRequest {
-                        id,
-                        spec,
-                        terminal: None,
-                    },
-                );
-            }
-            kind @ (K_DONE | K_FAILED | K_CANCELLED) => {
-                if let Some(req) = by_id.get_mut(&id) {
-                    let payload = rec.body.get("payload").cloned().unwrap_or(Value::Null);
-                    let k = match kind {
-                        K_DONE => K_DONE,
-                        K_FAILED => K_FAILED,
-                        _ => K_CANCELLED,
-                    };
-                    req.terminal = Some((k, payload));
-                }
-            }
-            _ => {}
-        }
-    }
-    let next_id = order.iter().max().map_or(1, |m| m + 1);
-    let requests = order
-        .into_iter()
-        .filter_map(|id| by_id.remove(&id))
-        .collect();
-    (requests, next_id)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use np_chaos::checkpoint::read_records;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -165,76 +95,101 @@ mod tests {
         dir
     }
 
-    fn spec(tag: &str) -> Value {
-        Value::Object(vec![("preset".to_string(), Value::Str(tag.to_string()))])
+    fn submit(j: &Journal, id: u64) {
+        let spec = serde_json::json!({ "preset": "a" });
+        j.append(JournalRecord::Submitted, id, spec, &Chaos::disabled())
+            .unwrap();
+    }
+
+    /// The ids of the admissions a restart sees.
+    fn admitted(dir: &Path) -> Vec<u64> {
+        let (_, records) = Journal::open(dir).unwrap();
+        records
+            .iter()
+            .filter_map(|r| match r {
+                JournalRecord::Submitted(e) => Some(e.id),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn tear(dir: &Path) {
+        let path = dir.join(JOURNAL_FILE);
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("{\"sum\":\"0000\",\"rec\":{\"v\":2,\"bo");
+        std::fs::write(&path, text).unwrap();
     }
 
     #[test]
-    fn replay_classifies_pending_and_terminal() {
-        let dir = tmp("classify");
-        let j = Journal::in_dir(&dir).unwrap();
-        let chaos = Chaos::disabled();
-        j.submitted(1, &spec("a"), &chaos).unwrap();
-        j.submitted(2, &spec("b"), &chaos).unwrap();
-        j.submitted(3, &spec("c"), &chaos).unwrap();
-        j.terminal(K_DONE, 1, Value::Str("plan".into()), &chaos)
-            .unwrap();
-        j.terminal(K_CANCELLED, 3, Value::Null, &chaos).unwrap();
-        let (reqs, next_id) = replay(j.path());
-        assert_eq!(next_id, 4);
-        assert_eq!(reqs.len(), 3);
-        assert!(!reqs[0].pending(), "done");
-        assert!(reqs[1].pending(), "in flight at crash");
-        assert_eq!(reqs[2].terminal.as_ref().unwrap().0, K_CANCELLED);
-        assert_eq!(
-            reqs[0].terminal.as_ref().unwrap().1.as_str(),
-            Some("plan"),
-            "terminal payload survives replay"
-        );
+    fn every_record_variant_round_trips() {
+        let dir = tmp("variants");
+        let path = dir.join(JOURNAL_FILE);
+        let entry = |id, body| Entry { id, body };
+        let records = vec![
+            JournalRecord::Submitted(entry(1, serde_json::json!({ "preset": "a" }))),
+            JournalRecord::Done(entry(
+                1,
+                serde_json::json!({ "cost": 1.5, "units": [1, 2] }),
+            )),
+            JournalRecord::Submitted(entry(2, Value::Null)),
+            JournalRecord::Failed(entry(2, Value::Str("infeasible".into()))),
+            JournalRecord::Submitted(entry(3, Value::Null)),
+            JournalRecord::Cancelled(entry(3, Value::Null)),
+        ];
+        for r in &records {
+            append_record(&path, r, &Chaos::disabled()).unwrap();
+        }
+        assert_eq!(read_records::<JournalRecord>(&path), records);
+        assert_eq!(Journal::open(&dir).unwrap().1, records);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_is_dropped_like_a_checkpoint() {
         let dir = tmp("torn");
-        let j = Journal::in_dir(&dir).unwrap();
-        let chaos = Chaos::disabled();
-        j.submitted(1, &spec("a"), &chaos).unwrap();
-        j.terminal(K_DONE, 1, Value::Null, &chaos).unwrap();
-        // Simulate a crash mid-append: garbage half-line at the tail.
-        let mut text = std::fs::read_to_string(j.path()).unwrap();
-        text.push_str("{\"sum\":\"0000\",\"rec\":{\"v\":1,\"ki");
-        std::fs::write(j.path(), text).unwrap();
-        let (reqs, next_id) = replay(j.path());
-        assert_eq!(reqs.len(), 1);
-        assert!(!reqs[0].pending());
-        assert_eq!(next_id, 2);
+        let (j, _) = Journal::open(&dir).unwrap();
+        submit(&j, 1);
+        j.append(JournalRecord::Done, 1, Value::Null, &Chaos::disabled())
+            .unwrap();
+        tear(&dir);
+        let (_, records) = Journal::open(&dir).unwrap();
+        assert_eq!(records.len(), 2, "the torn third record is dropped");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn missing_journal_replays_empty() {
+    fn an_admission_after_a_torn_tail_survives_the_next_restart() {
+        let dir = tmp("torn-admit");
+        let (j, _) = Journal::open(&dir).unwrap();
+        submit(&j, 1);
+        tear(&dir);
+        // Restart: reopening cuts the tear, so admission 2 lands on a
+        // clean line and is still there at every restart after that.
+        let (j, _) = Journal::open(&dir).unwrap();
+        submit(&j, 2);
+        assert_eq!(admitted(&dir), vec![1, 2]);
+        assert_eq!(admitted(&dir), vec![1, 2]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn missing_journal_opens_empty() {
         let dir = tmp("missing");
-        let (reqs, next_id) = replay(&dir.join(JOURNAL_FILE));
-        assert!(reqs.is_empty());
-        assert_eq!(next_id, 1);
+        assert!(admitted(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn ids_are_preserved_across_replay_generations() {
+    fn a_reopened_journal_appends_after_its_records() {
         let dir = tmp("generations");
-        let chaos = Chaos::disabled();
         {
-            let j = Journal::in_dir(&dir).unwrap();
-            j.submitted(7, &spec("x"), &chaos).unwrap();
+            let (j, _) = Journal::open(&dir).unwrap();
+            submit(&j, 7);
         }
         // "Restart": a new Journal over the same file appends more.
-        let j = Journal::in_dir(&dir).unwrap();
-        j.submitted(8, &spec("y"), &chaos).unwrap();
-        let (reqs, next_id) = replay(j.path());
-        assert_eq!(reqs.iter().map(|r| r.id).collect::<Vec<_>>(), vec![7, 8]);
-        assert_eq!(next_id, 9);
+        let (j, _) = Journal::open(&dir).unwrap();
+        submit(&j, 8);
+        assert_eq!(admitted(&dir), vec![7, 8]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

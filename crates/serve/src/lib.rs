@@ -34,6 +34,7 @@ pub mod proto;
 pub use cache::WarmCache;
 pub use client::Client;
 
+use journal::{Entry, Journal, JournalRecord};
 use np_chaos::{CancelToken, DirLock, FaultClass};
 use np_telemetry::{sys, Telemetry};
 use serde_json::Value;
@@ -169,6 +170,21 @@ struct Request {
     requeued: bool,
 }
 
+impl Request {
+    /// A freshly admitted (or replayed, with `resume`) request.
+    fn queued(spec: Value, resume: bool) -> Request {
+        Request {
+            spec,
+            state: ReqState::Queued,
+            outcome: None,
+            stop: CancelToken::new(),
+            user_cancelled: false,
+            resume,
+            requeued: false,
+        }
+    }
+}
+
 struct State {
     queue: VecDeque<u64>,
     requests: HashMap<u64, Request>,
@@ -182,7 +198,7 @@ struct Inner<S: PlanService> {
     cfg: ServerConfig,
     state: Mutex<State>,
     work_cv: Condvar,
-    journal: journal::Journal,
+    journal: Journal,
     cache: Mutex<WarmCache>,
     tel: Telemetry,
     chaos: np_chaos::Chaos,
@@ -223,43 +239,9 @@ impl<S: PlanService> Server<S> {
     ) -> std::io::Result<Server<S>> {
         let lock = DirLock::acquire(&cfg.state_dir)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::AddrInUse, e.to_string()))?;
-        let journal = journal::Journal::in_dir(&cfg.state_dir)?;
-
-        // Journal replay: finished requests stay retrievable, in-flight
-        // ones re-enqueue with resume set.
-        let (replayed, next_id) = journal::replay(journal.path());
-        let mut state = State {
-            queue: VecDeque::new(),
-            requests: HashMap::new(),
-            next_id,
-            draining: false,
-            running: 0,
-        };
-        let mut resumed = 0u64;
-        for r in replayed {
-            let (req_state, outcome, pending) = match &r.terminal {
-                None => (ReqState::Queued, None, true),
-                Some((journal::K_DONE, payload)) => (ReqState::Done, Some(payload.clone()), false),
-                Some((journal::K_CANCELLED, _)) => (ReqState::Cancelled, None, false),
-                Some((_, payload)) => (ReqState::Failed, Some(payload.clone()), false),
-            };
-            state.requests.insert(
-                r.id,
-                Request {
-                    spec: r.spec,
-                    state: req_state,
-                    outcome,
-                    stop: CancelToken::new(),
-                    user_cancelled: false,
-                    resume: pending,
-                    requeued: false,
-                },
-            );
-            if pending {
-                state.queue.push_back(r.id);
-                resumed += 1;
-            }
-        }
+        let (journal, records) = Journal::open(&cfg.state_dir)?;
+        let state = replay(records);
+        let resumed = state.queue.len() as u64;
         if resumed > 0 {
             tel.incr(sys::SERVE, "journal_resumes", resumed);
         }
@@ -421,7 +403,7 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
                 // client can observe it.
                 let _ = inn
                     .journal
-                    .terminal(journal::K_DONE, id, body.clone(), chaos);
+                    .append(JournalRecord::Done, id, body.clone(), chaos);
                 req.state = ReqState::Done;
                 req.outcome = Some(body);
                 inn.tel.incr(sys::SERVE, "completions", 1);
@@ -430,7 +412,7 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
                 if req.user_cancelled {
                     let _ = inn
                         .journal
-                        .terminal(journal::K_CANCELLED, id, Value::Null, chaos);
+                        .append(JournalRecord::Cancelled, id, Value::Null, chaos);
                     req.state = ReqState::Cancelled;
                     inn.tel.incr(sys::SERVE, "cancels", 1);
                 } else {
@@ -445,7 +427,7 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
                 let payload = Value::Str(msg);
                 let _ = inn
                     .journal
-                    .terminal(journal::K_FAILED, id, payload.clone(), chaos);
+                    .append(JournalRecord::Failed, id, payload.clone(), chaos);
                 req.state = ReqState::Failed;
                 req.outcome = Some(payload);
                 inn.tel.incr(sys::SERVE, "failures", 1);
@@ -464,7 +446,7 @@ fn worker_loop<S: PlanService>(inn: &Inner<S>) {
                     let payload = Value::Str("worker died twice; giving up".to_string());
                     let _ = inn
                         .journal
-                        .terminal(journal::K_FAILED, id, payload.clone(), chaos);
+                        .append(JournalRecord::Failed, id, payload.clone(), chaos);
                     req.state = ReqState::Failed;
                     req.outcome = Some(payload);
                     inn.tel.incr(sys::SERVE, "failures", 1);
@@ -493,6 +475,47 @@ fn accept_loop<S: PlanService>(inn: &Arc<Inner<S>>, listener: TcpListener) {
             Err(_) => return,
         }
     }
+}
+
+/// Rebuild the request table from the journal's records: finished
+/// requests stay retrievable, in-flight ones re-enqueue with resume set,
+/// in admission order. Ids never recycle: the next one is past every id
+/// the journal holds.
+fn replay(records: Vec<JournalRecord>) -> State {
+    let mut state = State {
+        queue: VecDeque::new(),
+        requests: HashMap::new(),
+        next_id: 1,
+        draining: false,
+        running: 0,
+    };
+    let mut admitted = Vec::new();
+    for record in records {
+        let (req_state, Entry { id, body }) = match record {
+            JournalRecord::Submitted(Entry { id, body }) => {
+                if state
+                    .requests
+                    .insert(id, Request::queued(body, true))
+                    .is_none()
+                {
+                    admitted.push(id);
+                }
+                state.next_id = state.next_id.max(id.saturating_add(1));
+                continue;
+            }
+            JournalRecord::Done(e) => (ReqState::Done, e),
+            JournalRecord::Failed(e) => (ReqState::Failed, e),
+            JournalRecord::Cancelled(e) => (ReqState::Cancelled, e),
+        };
+        if let Some(req) = state.requests.get_mut(&id) {
+            req.state = req_state;
+            req.outcome = (req_state != ReqState::Cancelled).then_some(body);
+            req.resume = false;
+        }
+    }
+    admitted.retain(|id| state.requests[id].state == ReqState::Queued);
+    state.queue.extend(admitted);
+    state
 }
 
 fn handle_conn<S: PlanService>(inn: &Inner<S>, mut stream: TcpStream) {
@@ -586,24 +609,16 @@ fn op_submit<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
     st.next_id += 1;
     // Journal-first admission: if this append fails, the client hears
     // an error and the daemon keeps no ghost request.
-    if let Err(e) = inn.journal.submitted(id, spec, chaos) {
+    if let Err(e) = inn
+        .journal
+        .append(JournalRecord::Submitted, id, spec.clone(), chaos)
+    {
         return proto::err(
             proto::code::BAD_REQUEST,
             &format!("journal write failed: {e}"),
         );
     }
-    st.requests.insert(
-        id,
-        Request {
-            spec: spec.clone(),
-            state: ReqState::Queued,
-            outcome: None,
-            stop: CancelToken::new(),
-            user_cancelled: false,
-            resume: false,
-            requeued: false,
-        },
-    );
+    st.requests.insert(id, Request::queued(spec.clone(), false));
     st.queue.push_back(id);
     drop(st);
     inn.work_cv.notify_one();
@@ -674,7 +689,7 @@ fn op_cancel<S: PlanService>(inn: &Inner<S>, frame: &Value) -> Value {
             req.user_cancelled = true;
             let _ = inn
                 .journal
-                .terminal(journal::K_CANCELLED, id, Value::Null, chaos);
+                .append(JournalRecord::Cancelled, id, Value::Null, chaos);
             inn.tel.incr(sys::SERVE, "cancels", 1);
             let queue = &mut st.queue;
             queue.retain(|&q| q != id);
@@ -712,4 +727,57 @@ fn op_stats<S: PlanService>(inn: &Inner<S>) -> Value {
         ("cache_misses", Value::Num(misses as f64)),
         ("cache_evictions", Value::Num(evictions as f64)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(id: u64, body: Value) -> Entry {
+        Entry { id, body }
+    }
+
+    #[test]
+    fn replay_classifies_pending_and_terminal() {
+        let spec = |t: &str| serde_json::json!({ "preset": t });
+        let state = replay(vec![
+            JournalRecord::Submitted(entry(1, spec("a"))),
+            JournalRecord::Submitted(entry(2, spec("b"))),
+            JournalRecord::Submitted(entry(3, spec("c"))),
+            JournalRecord::Submitted(entry(4, spec("d"))),
+            JournalRecord::Done(entry(1, Value::Str("plan".into()))),
+            JournalRecord::Cancelled(entry(3, Value::Null)),
+            JournalRecord::Failed(entry(4, Value::Str("infeasible".into()))),
+            JournalRecord::Done(entry(9, Value::Null)), // never admitted
+        ]);
+        assert_eq!(state.next_id, 5);
+        assert_eq!(state.queue, [2], "only the in-flight request re-enqueues");
+        let r = |id: u64| &state.requests[&id];
+        assert_eq!((r(1).state, r(1).resume), (ReqState::Done, false));
+        assert_eq!(
+            r(1).outcome,
+            Some(Value::Str("plan".into())),
+            "result survives"
+        );
+        assert_eq!((r(2).state, r(2).resume), (ReqState::Queued, true));
+        assert_eq!(r(2).spec, spec("b"));
+        assert_eq!(
+            (r(3).state, r(3).outcome.clone()),
+            (ReqState::Cancelled, None)
+        );
+        assert_eq!(r(4).state, ReqState::Failed);
+        assert!(!state.requests.contains_key(&9));
+    }
+
+    #[test]
+    fn replay_keeps_ids_and_admission_order_across_generations() {
+        let spec = serde_json::json!({ "preset": "x" });
+        let state = replay(vec![
+            JournalRecord::Submitted(entry(8, spec.clone())),
+            JournalRecord::Submitted(entry(7, spec.clone())),
+        ]);
+        assert_eq!(state.queue, [8, 7]);
+        assert_eq!(state.next_id, 9, "ids never recycle");
+        assert_eq!(replay(Vec::new()).next_id, 1);
+    }
 }

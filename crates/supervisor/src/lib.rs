@@ -36,7 +36,9 @@ pub const KILL_MARKER: &str = "chaos: injected kill";
 
 /// Provenance of a returned plan: which rung of the degradation ladder
 /// produced it. Ordering is by decreasing quality.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(
+    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
+)]
 pub enum PlanQuality {
     /// The α-relaxed MILP ran to a proven optimum within budget.
     Optimal,
@@ -51,7 +53,7 @@ pub enum PlanQuality {
 }
 
 impl PlanQuality {
-    /// Stable wire name (checkpoint records, CLI JSON output).
+    /// Stable wire name (CLI and service JSON output).
     pub fn name(self) -> &'static str {
         match self {
             PlanQuality::Optimal => "optimal",
@@ -59,17 +61,6 @@ impl PlanQuality {
             PlanQuality::Rounded => "rounded",
             PlanQuality::Heuristic => "heuristic",
         }
-    }
-
-    /// Inverse of [`PlanQuality::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "optimal" => PlanQuality::Optimal,
-            "incumbent" => PlanQuality::Incumbent,
-            "rounded" => PlanQuality::Rounded,
-            "heuristic" => PlanQuality::Heuristic,
-            _ => return None,
-        })
     }
 
     /// Ladder rung index: 0 = best (proved optimal), 3 = last resort.
@@ -515,6 +506,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use np_chaos::{Chaos, FaultPlan};
+    use serde::{Deserialize, Serialize};
 
     fn sup(cfg: SupervisorConfig) -> Supervisor {
         Supervisor::with_chaos(cfg, Telemetry::noop(), Chaos::disabled())
@@ -537,9 +529,9 @@ mod tests {
             PlanQuality::Rounded,
             PlanQuality::Heuristic,
         ] {
-            assert_eq!(PlanQuality::from_name(q.name()), Some(q));
+            assert_eq!(PlanQuality::from_value(&q.to_value()), Ok(q));
         }
-        assert!(PlanQuality::from_name("best-effort").is_none());
+        assert!(PlanQuality::from_value(&serde::Value::Str("best-effort".into())).is_err());
         assert!(PlanQuality::Optimal < PlanQuality::Heuristic);
         assert_eq!(PlanQuality::Rounded.rung(), 2);
     }

@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot kernels behind the figures:
 //! node-link transformation, Dijkstra, MWU concurrent flow, the exact
-//! simplex, GCN forward/backward and full evaluator checks.
+//! simplex, GCN forward/backward, one epoch of the agent update and full
+//! evaluator checks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use np_eval::{EvalConfig, PlanEvaluator};
@@ -8,9 +9,10 @@ use np_flow::mwu::{max_concurrent_flow, MwuConfig};
 use np_flow::{dijkstra, Commodity, FlowGraph};
 use np_lp::{solve_lp, Model, Sense, SimplexConfig};
 use np_neural::{Csr, Gcn, Matrix};
+use np_rl::{ActorCritic, AgentConfig, StepRecord};
 use np_topology::{generator::preset_network, transform, TopologyPreset};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_transform(c: &mut Criterion) {
     let net = preset_network(TopologyPreset::C);
@@ -83,6 +85,47 @@ fn bench_gcn(c: &mut Criterion) {
     });
 }
 
+/// One epoch of Algorithm 1's updates (`update_policy` then
+/// `update_value`) at the preset-B shape of `plan --quick` in release:
+/// 384 steps, 5 features, 4 unit choices, 32-wide GNN and heads.
+fn bench_agent_update(c: &mut Criterion) {
+    let net = preset_network(TopologyPreset::B);
+    let g = transform(&net);
+    let n = g.num_nodes();
+    let adj = Csr::from_triples(n, &g.normalized_adjacency());
+    let agent = ActorCritic::new(
+        adj,
+        5,
+        4,
+        &AgentConfig {
+            gnn_layers: 2,
+            gnn_hidden: 32,
+            mlp_hidden: vec![32, 32],
+            ..AgentConfig::default()
+        },
+    );
+    let mut rng = StdRng::seed_from_u64(0);
+    let steps: Vec<StepRecord> = (0..384)
+        .map(|_| StepRecord {
+            features: Matrix::kaiming(n, 5, &mut rng),
+            mask: vec![true; n * 4],
+            action: rng.gen_range(0..n * 4),
+            reward: 0.0,
+            value: 0.0,
+            advantage: rng.gen_range(-1.0..1.0),
+            reward_to_go: rng.gen_range(-3.0..0.0),
+        })
+        .collect();
+    c.bench_function("agent_update_B", |b| {
+        b.iter(|| {
+            let mut a = agent.clone();
+            a.update_policy(&steps);
+            a.update_value(&steps);
+            a
+        })
+    });
+}
+
 fn bench_evaluator(c: &mut Criterion) {
     let net = preset_network(TopologyPreset::B);
     let caps: Vec<f64> = net
@@ -133,6 +176,7 @@ criterion_group!(
     bench_mwu,
     bench_simplex,
     bench_gcn,
+    bench_agent_update,
     bench_evaluator,
     bench_separation
 );

@@ -134,6 +134,18 @@ impl Gat {
     /// Backward pass; accumulates parameter gradients and returns
     /// `∂L/∂H`.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        let dz = self.accumulate_grads(grad_out);
+        dz.matmul_t(&self.w.value)
+    }
+
+    /// [`Gat::backward`] without `∂L/∂H`, for a first layer whose input
+    /// is data: accumulates the same gradient bits and skips `∂L/∂z·Wᵀ`.
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
+        self.accumulate_grads(grad_out);
+    }
+
+    /// Accumulate every parameter gradient; returns `∂L/∂z`.
+    fn accumulate_grads(&mut self, grad_out: &Matrix) -> Matrix {
         let cache = self.cache.as_ref().expect("forward before backward");
         let n = self.neighbors.len();
         let d = cache.z.cols();
@@ -196,7 +208,7 @@ impl Gat {
         }
         // z = h W.
         self.w.grad.add_assign(&cache.input.t_matmul(&dz));
-        dz.matmul_t(&self.w.value)
+        dz
     }
 
     /// Mutable access to the trainable parameters.
@@ -272,6 +284,49 @@ mod tests {
             1e-6,
             2e-4,
         );
+    }
+
+    #[test]
+    fn gat_backward_params_passes_gradcheck_with_the_bits_of_backward() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let x = Matrix::kaiming(4, 3, &mut rng).map(|v| v + 0.2);
+        let mut layer = Gat::new(path_neighbors(4), 3, 4, &mut rng);
+        let g = Matrix::kaiming(4, 4, &mut rng);
+        check_param_gradients(
+            &mut |l: &mut Gat| {
+                let y = l.forward(&x);
+                y.as_slice()
+                    .iter()
+                    .zip(g.as_slice())
+                    .map(|(a, b)| a * b)
+                    .sum::<f64>()
+            },
+            &mut |l: &mut Gat| {
+                l.forward(&x);
+                l.backward_params(&g);
+            },
+            &mut layer,
+            |l| l.params_mut(),
+            1e-6,
+            2e-4,
+        );
+        let run = |full: bool| {
+            let mut l = layer.clone();
+            for p in l.params_mut() {
+                p.zero_grad();
+            }
+            l.forward(&x);
+            if full {
+                l.backward(&g);
+            } else {
+                l.backward_params(&g);
+            }
+            l.params_mut()
+                .iter()
+                .flat_map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -128,11 +128,23 @@ impl Gcn {
 
     /// Backward pass; accumulates into `w.grad`, returns `∂L/∂H`.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        let g = self.accumulate_grads(grad_out);
+        let gw = g.matmul_t(&self.w.value);
+        self.adj.matmul_dense(&gw)
+    }
+
+    /// [`Gcn::backward`] without `∂L/∂H`, for a first layer whose input
+    /// is data: accumulates the same `w.grad` bits and skips `Â·g·Wᵀ`.
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
+        self.accumulate_grads(grad_out);
+    }
+
+    /// Accumulate `∂L/∂W`; returns the ReLU-gated output gradient.
+    fn accumulate_grads(&mut self, grad_out: &Matrix) -> Matrix {
         let g = self.relu.backward(grad_out);
         let ah = self.cached_ah.as_ref().expect("forward before backward");
         self.w.grad.add_assign(&ah.t_matmul(&g));
-        let gw = g.matmul_t(&self.w.value);
-        self.adj.matmul_dense(&gw)
+        g
     }
 
     /// Mutable access to the trainable parameters.
@@ -252,6 +264,48 @@ mod tests {
             1e-5,
             1e-4,
         );
+    }
+
+    #[test]
+    fn gcn_backward_params_passes_gradcheck_with_the_bits_of_backward() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let x = Matrix::kaiming(3, 2, &mut rng).map(|v| v + 0.3);
+        let mut layer = Gcn::new(path_adjacency(), 2, 3, &mut rng);
+        let g = Matrix::kaiming(3, 3, &mut rng);
+        check_param_gradients(
+            &mut |l: &mut Gcn| {
+                let y = l.forward(&x);
+                y.as_slice()
+                    .iter()
+                    .zip(g.as_slice())
+                    .map(|(a, b)| a * b)
+                    .sum::<f64>()
+            },
+            &mut |l: &mut Gcn| {
+                l.forward(&x);
+                l.backward_params(&g);
+            },
+            &mut layer,
+            |l| l.params_mut(),
+            1e-5,
+            1e-4,
+        );
+        let run = |full: bool| {
+            let mut l = layer.clone();
+            l.w.zero_grad();
+            l.forward(&x);
+            if full {
+                l.backward(&g);
+            } else {
+                l.backward_params(&g);
+            }
+            l.w.grad
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! autograd tape is needed:
 //!
 //! * [`matrix`] — dense row-major `f64` matrices with the handful of
-//!   kernels the model needs;
+//!   kernels the model needs, all running on one register-tiled
+//!   micro-kernel with a run-time AVX2 copy;
 //! * [`sparse`] — CSR sparse matrices for the normalized adjacency `Â`;
 //! * [`param`] — a trainable tensor bundling value, gradient and Adam
 //!   moments;
@@ -30,6 +31,7 @@
 
 pub mod gat;
 pub mod gradcheck;
+mod kernel;
 pub mod layers;
 pub mod matrix;
 pub mod mlp;

@@ -1,5 +1,6 @@
 //! Dense row-major matrices with exactly the kernels the model needs.
 
+use crate::kernel::{self, Lhs, Simd};
 use rand::Rng;
 
 /// A dense `rows × cols` matrix of `f64`, row-major.
@@ -73,87 +74,55 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Depth-block size for the blocked matmul kernels: a `DEPTH_BLOCK ×
-    /// cols` panel of the right-hand matrix stays resident in L1/L2 while
-    /// every output row sweeps over it.
-    const DEPTH_BLOCK: usize = 64;
-
-    /// `self · other`, blocked over the shared (depth) dimension.
-    ///
-    /// Loop order is p-block outer / row / p-in-block / column-inner: the
-    /// `other` panel for one p-block is reused across all `n` rows instead
-    /// of being re-streamed from memory per row, and the inner loop is a
-    /// contiguous axpy the compiler vectorizes. Every output element still
-    /// accumulates its `a[i,p]·b[p,j]` terms in ascending `p` order —
-    /// blocks ascend and `p` ascends within each block — so the result is
-    /// bit-identical to the naive ikj kernel (f64 addition is performed in
-    /// the exact same sequence).
+    /// `self · other`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.matmul_in(Simd::detect(), other)
+    }
+
+    fn matmul_in(&self, simd: Simd, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let (n, k, m) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(n, m);
-        for pb in (0..k).step_by(Self::DEPTH_BLOCK) {
-            let pe = (pb + Self::DEPTH_BLOCK).min(k);
-            for i in 0..n {
-                let dst = &mut out.data[i * m..(i + 1) * m];
-                for p in pb..pe {
-                    let a = self.data[i * k + p];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let orow = &other.data[p * m..(p + 1) * m];
-                    for (d, &o) in dst.iter_mut().zip(orow) {
-                        *d += a * o;
-                    }
-                }
-            }
-        }
-        out
+        let a = Lhs {
+            data: &self.data,
+            row_stride: k,
+            col_stride: 1,
+        };
+        Matrix::from_vec(n, m, kernel::gemm(simd, a, &other.data, n, k, m))
     }
 
-    /// `selfᵀ · other` without materializing the transpose, blocked over
-    /// the shared (row) dimension with the same ascending-`p` accumulation
-    /// order — and therefore the same bits — as the unblocked kernel.
+    /// `selfᵀ · other`, reading `self` through a stride instead of
+    /// materializing the transpose.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
+        self.t_matmul_in(Simd::detect(), other)
+    }
+
+    fn t_matmul_in(&self, simd: Simd, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         let (k, n, m) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(n, m);
-        for pb in (0..k).step_by(Self::DEPTH_BLOCK) {
-            let pe = (pb + Self::DEPTH_BLOCK).min(k);
-            for i in 0..n {
-                let dst = &mut out.data[i * m..(i + 1) * m];
-                for p in pb..pe {
-                    let a = self.data[p * n + i];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let orow = &other.data[p * m..(p + 1) * m];
-                    for (d, &o) in dst.iter_mut().zip(orow) {
-                        *d += a * o;
-                    }
-                }
-            }
-        }
-        out
+        let a = Lhs {
+            data: &self.data,
+            row_stride: 1,
+            col_stride: n,
+        };
+        Matrix::from_vec(n, m, kernel::gemm(simd, a, &other.data, n, k, m))
     }
 
-    /// `self · otherᵀ` without materializing the transpose.
+    /// `self · otherᵀ`. `otherᵀ` is packed into a `k × m` buffer first, so
+    /// the product runs on the same tiled kernel as [`Matrix::matmul`].
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
+        self.matmul_t_in(Simd::detect(), other)
+    }
+
+    fn matmul_t_in(&self, simd: Simd, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let (n, k, m) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(n, m);
-        for i in 0..n {
-            let arow = &self.data[i * k..(i + 1) * k];
-            for j in 0..m {
-                let orow = &other.data[j * k..(j + 1) * k];
-                let mut s = 0.0;
-                for (a, o) in arow.iter().zip(orow) {
-                    s += a * o;
-                }
-                out.data[i * m + j] = s;
+        let (k, m) = (self.cols, other.rows);
+        let mut bt = vec![0.0; k * m];
+        for j in 0..m {
+            for p in 0..k {
+                bt[p * m + j] = other.data[j * k + p];
             }
         }
-        out
+        self.matmul_in(simd, &Matrix::from_vec(k, m, bt))
     }
 
     /// Elementwise in-place addition.
@@ -237,6 +206,7 @@ pub fn gauss(rng: &mut impl Rng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Csr;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -370,5 +340,98 @@ mod tests {
         let a = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
         assert_eq!(a.norm(), 5.0);
         assert_eq!(a.map(|v| v * v).as_slice(), &[9.0, 16.0]);
+    }
+
+    /// A finite operand built to probe the kernels' zero handling: about
+    /// 40% exact zeros (half of them `-0.0`), 10% subnormals of either
+    /// sign, the rest normal.
+    fn probe(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| match rng.gen_range(0..10) {
+                0 | 1 => 0.0,
+                2 | 3 => -0.0,
+                4 => {
+                    let v = f64::from_bits(rng.gen_range(1..1u64 << 52));
+                    if rng.gen_range(0..2) == 0 {
+                        v
+                    } else {
+                        -v
+                    }
+                }
+                _ => gauss(rng),
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// The naive reference: `Σ_p a(i,p)·b(p,j)` from `+0.0` in ascending
+    /// `p`, skipping nothing.
+    fn reference(
+        (n, k, m): (usize, usize, usize),
+        a: impl Fn(usize, usize) -> f64,
+        b: impl Fn(usize, usize) -> f64,
+    ) -> Matrix {
+        let mut out = Matrix::zeros(n, m);
+        for i in 0..n {
+            for j in 0..m {
+                let mut s = 0.0;
+                for p in 0..k {
+                    s += a(i, p) * b(p, j);
+                }
+                out.set(i, j, s);
+            }
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tiled_kernels_are_bit_identical_to_naive_loops(
+            (n, k, m, seed) in (1usize..71, 1usize..71, 1usize..71, 0u64..u64::MAX)
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let simds = [Simd::detect(), Simd::PORTABLE];
+
+            let a = probe(n, k, &mut rng);
+            let b = probe(k, m, &mut rng);
+            let want = bits(&reference((n, k, m), |i, p| a.get(i, p), |p, j| b.get(p, j)));
+            for simd in simds {
+                proptest::prop_assert_eq!(bits(&a.matmul_in(simd, &b)), want.clone());
+            }
+            proptest::prop_assert_eq!(bits(&a.matmul(&b)), want);
+
+            let s = probe(k, n, &mut rng);
+            let want = bits(&reference((n, k, m), |i, p| s.get(p, i), |p, j| b.get(p, j)));
+            for simd in simds {
+                proptest::prop_assert_eq!(bits(&s.t_matmul_in(simd, &b)), want.clone());
+            }
+            proptest::prop_assert_eq!(bits(&s.t_matmul(&b)), want);
+
+            let o = probe(m, k, &mut rng);
+            let want = bits(&reference((n, k, m), |i, p| a.get(i, p), |p, j| o.get(j, p)));
+            for simd in simds {
+                proptest::prop_assert_eq!(bits(&a.matmul_t_in(simd, &o)), want.clone());
+            }
+            proptest::prop_assert_eq!(bits(&a.matmul_t(&o)), want);
+
+            // A sparse n × n operator whose stored values include zeros,
+            // `-0.0` and subnormals, times a dense n × m operand.
+            let dense = probe(n, m, &mut rng);
+            let entries = probe(n, n, &mut rng);
+            let triples: Vec<(usize, usize, f64)> = (0..n * n)
+                .filter(|_| rng.gen_range(0..3) == 0)
+                .map(|e| (e / n, e % n, entries.as_slice()[e]))
+                .collect();
+            let csr = Csr::from_triples(n, &triples);
+            let want = bits(&reference((n, n, m), |i, p| csr.get(i, p), |p, j| dense.get(p, j)));
+            for simd in simds {
+                proptest::prop_assert_eq!(bits(&csr.matmul_dense_in(simd, &dense)), want.clone());
+            }
+            proptest::prop_assert_eq!(bits(&csr.matmul_dense(&dense)), want);
+        }
     }
 }

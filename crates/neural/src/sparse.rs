@@ -1,5 +1,6 @@
 //! CSR sparse matrices for the GCN propagation operator `Â`.
 
+use crate::kernel::{self, CsrRef, Simd};
 use crate::matrix::Matrix;
 
 /// A square sparse matrix in compressed-sparse-row form.
@@ -69,21 +70,18 @@ impl Csr {
 
     /// `self · dense` — the `ÂH` product of Eq. 7.
     pub fn matmul_dense(&self, dense: &Matrix) -> Matrix {
+        self.matmul_dense_in(Simd::detect(), dense)
+    }
+
+    pub(crate) fn matmul_dense_in(&self, simd: Simd, dense: &Matrix) -> Matrix {
         assert_eq!(self.n, dense.rows(), "spmm shape mismatch");
+        let csr = CsrRef {
+            row_ptr: &self.row_ptr,
+            col_idx: &self.col_idx,
+            values: &self.values,
+        };
         let m = dense.cols();
-        let mut out = Matrix::zeros(self.n, m);
-        for r in 0..self.n {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[k];
-                let v = self.values[k];
-                let src = &dense.as_slice()[c * m..(c + 1) * m];
-                let dst = &mut out.as_mut_slice()[r * m..(r + 1) * m];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += v * s;
-                }
-            }
-        }
-        out
+        Matrix::from_vec(self.n, m, kernel::spmm(simd, csr, dense.as_slice(), m))
     }
 
     /// Whether the matrix is symmetric (the normalized adjacency must be,

@@ -103,17 +103,25 @@ impl EncoderStack {
         h
     }
 
+    /// Accumulates every encoder parameter gradient. The first layer's
+    /// input is the observation, so its input gradient is not computed.
     fn backward(&mut self, grad: &Matrix) {
         let mut g = grad.clone();
         match self {
             EncoderStack::Gcn(layers) => {
-                for l in layers.iter_mut().rev() {
-                    g = l.backward(&g);
+                if let Some((first, rest)) = layers.split_first_mut() {
+                    for l in rest.iter_mut().rev() {
+                        g = l.backward(&g);
+                    }
+                    first.backward_params(&g);
                 }
             }
             EncoderStack::Gat(layers) => {
-                for l in layers.iter_mut().rev() {
-                    g = l.backward(&g);
+                if let Some((first, rest)) = layers.split_first_mut() {
+                    for l in rest.iter_mut().rev() {
+                        g = l.backward(&g);
+                    }
+                    first.backward_params(&g);
                 }
             }
         }
@@ -671,6 +679,86 @@ mod tests {
         assert!(!twin.import_state("garbage"), "not a blob at all");
         // Rejection must leave the agent usable.
         assert!(twin.params_finite());
+    }
+
+    /// FNV-1a over the exported state: any changed bit changes the hash.
+    fn state_hash(a: &mut ActorCritic) -> u64 {
+        a.export_state()
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// Three epochs of both updates at the preset-A shape of `plan
+    /// --quick` (20 link nodes, 5 features, 4 unit choices, 32-wide GNN
+    /// and heads) on a fixed synthetic buffer.
+    fn preset_a_shape_updates(encoder: Encoder) -> u64 {
+        let n = 20;
+        let mut triples = Vec::new();
+        for i in 0..n {
+            for j in [
+                i,
+                (i + 1) % n,
+                (i + n - 1) % n,
+                (i + 7) % n,
+                (i + n - 7) % n,
+            ] {
+                triples.push((i, j, 0.2));
+            }
+        }
+        let mut a = ActorCritic::new(
+            Csr::from_triples(n, &triples),
+            5,
+            4,
+            &AgentConfig {
+                encoder,
+                gnn_layers: 2,
+                gnn_hidden: 32,
+                mlp_hidden: vec![32, 32],
+                seed: 11,
+                ..Default::default()
+            },
+        );
+        let mut rng = StdRng::seed_from_u64(5);
+        let steps: Vec<StepRecord> = (0..48)
+            .map(|_| {
+                let features = (0..n * 5)
+                    .map(|_| {
+                        if rng.gen_range(0..3) == 0 {
+                            0.0
+                        } else {
+                            rng.gen_range(-2.0..2.0)
+                        }
+                    })
+                    .collect();
+                let mask: Vec<bool> = (0..n * 4).map(|_| rng.gen_range(0..4) != 0).collect();
+                let action = (0..n * 4).find(|&i| mask[i]).expect("some action is valid");
+                StepRecord {
+                    features: Matrix::from_vec(n, 5, features),
+                    mask,
+                    action,
+                    reward: 0.0,
+                    value: 0.0,
+                    advantage: rng.gen_range(-1.0..1.0),
+                    reward_to_go: rng.gen_range(-3.0..0.0),
+                }
+            })
+            .collect();
+        for _ in 0..3 {
+            a.update_policy(&steps);
+            a.update_value(&steps);
+        }
+        state_hash(&mut a)
+    }
+
+    /// The constants were recorded with the untiled kernels, before the
+    /// encoder's first layer stopped computing its input gradient: the
+    /// kernel contract and the parameters-only backward keep every bit.
+    #[test]
+    fn updates_keep_the_bits_they_had_before_the_tiled_kernels() {
+        assert_eq!(preset_a_shape_updates(Encoder::Gcn), 0x9cd6_4b1b_6685_aa29);
+        assert_eq!(preset_a_shape_updates(Encoder::Gat), 0x8f81_4e48_4162_4900);
     }
 
     #[test]

@@ -319,8 +319,8 @@ pub struct TrainProgress<'a> {
 pub type EpochHook<'a> = dyn FnMut(&mut ActorCritic, &mut dyn GraphEnv, &TrainProgress<'_>) + 'a;
 
 /// [`train`] reporting through `tel`: per-epoch return/completion/length
-/// metrics under the `rl` subsystem, plus `epoch` and `policy_update`
-/// span timings.
+/// metrics under the `rl` subsystem, plus `epoch` and `update` span
+/// timings.
 pub fn train_telemetry(
     env: &mut dyn GraphEnv,
     agent: &mut ActorCritic,
@@ -431,11 +431,16 @@ pub fn train_resumable(
             buffer.normalize_advantages();
         }
         {
-            let _update_span = tel.span(sys::RL, "policy_update");
-            // The update is the backward/optimizer stage of the profile
-            // breakdown; live so it nets out of `policy_update`'s self.
-            let _bwd_span = np_telemetry::profiling().then(|| tel.span(sys::RL, "backward"));
-            agent.update_policy(buffer.steps());
+            let _update_span = tel.span(sys::RL, "update");
+            // Profiling splits the update into its two halves, each with
+            // its forward recomputes, backward pass and Adam step; live so
+            // they net out of `update`'s self time.
+            {
+                let _policy_span =
+                    np_telemetry::profiling().then(|| tel.span(sys::RL, "update_policy"));
+                agent.update_policy(buffer.steps());
+            }
+            let _value_span = np_telemetry::profiling().then(|| tel.span(sys::RL, "update_value"));
             agent.update_value(buffer.steps());
         }
         if chaos.should_fire(np_chaos::FaultClass::NanGrad) {
@@ -589,6 +594,49 @@ mod tests {
             assert!(e.completed + e.truncated > 0);
             assert!(e.mean_length > 0.0);
         }
+    }
+
+    #[test]
+    fn update_spans_name_what_they_time() {
+        let cfg = TrainConfig {
+            epochs: 2,
+            steps_per_epoch: 32,
+            max_traj_len: 16,
+            ..Default::default()
+        };
+        let rl_spans = |profiling: bool| {
+            let mut env = CounterEnv::new(3, 2, 4);
+            let mut agent = small_agent(&env, 1);
+            let tel = Telemetry::memory();
+            np_telemetry::set_profiling(profiling);
+            train_telemetry(&mut env, &mut agent, &cfg, &tel);
+            np_telemetry::set_profiling(false);
+            tel.spans()
+                .into_iter()
+                .filter(|(sys, ..)| sys == "rl")
+                .map(|(_, name, count, _)| (name, count))
+                .collect::<Vec<_>>()
+        };
+        let named = |list: &[(&str, u64)]| {
+            list.iter()
+                .map(|&(n, c)| (n.to_string(), c))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            rl_spans(false),
+            named(&[("epoch", 2), ("train", 1), ("update", 2)])
+        );
+        assert_eq!(
+            rl_spans(true),
+            named(&[
+                ("epoch", 2),
+                ("forward", 2),
+                ("train", 1),
+                ("update", 2),
+                ("update_policy", 2),
+                ("update_value", 2),
+            ])
+        );
     }
 
     #[test]
